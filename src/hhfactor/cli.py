@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparse-fraction", type=float, default=0.02)
     p.add_argument("--out", required=True, help="matrix file to write")
     p.add_argument("--factors", help="also write the generating reflectors")
-    p.add_argument("--format", choices=("text",), default="text")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("decompose", help="greedy factorization of a matrix file")
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("factors", help="factored file")
     p.add_argument("input", help="matrix file of column vectors")
     p.add_argument("--out", help="write result here instead of stdout")
-    p.add_argument("--format", choices=("text",), default="text")
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("recover", help="recover reflection and binary codes from data")

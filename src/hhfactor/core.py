@@ -41,8 +41,9 @@ class Reflector:
         u = np.asarray(self.u, dtype=float)
         if u.ndim != 1:
             raise ValueError("reflector direction must be a vector")
-        if abs(np.linalg.norm(u) - 1.0) > UNIT_NORM_RTOL * np.sqrt(u.shape[0]):
-            raise ValueError("reflector direction must have unit norm")
+        # written so that a NaN norm fails the test too
+        if not abs(np.linalg.norm(u) - 1.0) <= UNIT_NORM_RTOL * np.sqrt(u.shape[0]):
+            raise ValueError("reflector direction must be finite with unit norm")
         u = _canonical_sign(u.copy())
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
@@ -126,8 +127,9 @@ def check_orthogonal(V, tol: float | None = None) -> np.ndarray:
     n = M.shape[0]
     if tol is None:
         tol = ORTHO_RTOL * n
-    defect = np.linalg.norm(M.T @ M - np.eye(n), "fro")
-    if defect > tol:
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = np.linalg.norm(M.T @ M - np.eye(n), "fro")
+    if not defect <= tol:  # a non-finite entry makes defect NaN or inf
         raise ValueError(
             f"matrix is not orthogonal: ||V^T V - I||_F = {defect:.3e} exceeds {tol:.3e}"
         )

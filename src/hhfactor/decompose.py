@@ -3,8 +3,16 @@
 The driver repeatedly peels off the single reflection closest to the working
 matrix: the minimizer of ||V - (I - 2uu^T)||_F over unit u is the bottom
 eigenvector of the symmetric part (V + V^T)/2. Peeling stops once the
-accumulated product matches the input, and the number of factors used is
-provably the smallest possible for exact members.
+product matches the input, and the number of factors used is provably the
+smallest possible for exact members.
+
+Only the moving subspace, the orthogonal complement of ker(V - I), ever
+changes: it is invariant under V and under every greedy step. One n-by-n
+eigensolve at entry finds it, and every step after that works on the p-by-p
+compression C = Q^T V Q, p = n - dim ker(V - I). For orthogonal W,
+(W - I)^T (W - I) = 2(I - sym W), so the singular values of W - I are
+sqrt(2(1 - mu)) over the eigenvalues mu of sym W: each step's single
+eigensolve gives both its reflector and the fixed-subspace dimension.
 """
 
 from __future__ import annotations
@@ -14,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RANK_TOL_RTOL,
     HouseholderProduct,
     Reflector,
+    SymmetricSpectrum,
     _fixed_subspace_dim,
     check_orthogonal,
     symmetric_eigendecomposition,
@@ -61,19 +71,61 @@ class DecompositionTrace:
     termination: str
 
 
+def _peel(working: np.ndarray, spectrum: SymmetricSpectrum) -> tuple[float, np.ndarray]:
+    """Reflect working in place by its nearest reflection I - 2aa^T.
+
+    spectrum is that of sym(working); a is its bottom eigenvector. Returns
+    lambda_min and a. Afterwards ||I - working||_F is the distance between the
+    old working matrix and the reflection.
+    """
+    a = spectrum.eigenvectors[:, 0]
+    working -= 2.0 * np.outer(a, a @ working)
+    return float(spectrum.eigenvalues[0]), a
+
+
+def _moving_rank(eigenvalues: np.ndarray, n: int) -> int:
+    """Rank of W - I for an orthogonal W, from the eigenvalues of sym(W).
+
+    The singular values of W - I are sqrt(2(1 - mu)); those at or below the
+    n-dimensional rank tolerance of _fixed_subspace_dim count as zero.
+    """
+    singular_values = np.sqrt(2.0 * np.clip(1.0 - eigenvalues, 0.0, None))
+    return int(np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n)))
+
+
+def _moving_subspace(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
+    """Compress M onto its moving subspace, when that drops less than eps/2.
+
+    Q holds the eigenvectors of sym(M) whose 1 - mu lies above the roundoff
+    floor. Returns (Q, C, spectrum of sym(C), rest) with C = Q^T M Q and
+    rest = ||(M - I) - Q (C - I) Q^T||_F; sym(C) is diagonal in that basis.
+    Q is None, C a copy of M and rest 0 when nothing is dropped or the
+    dropped part is too large.
+    """
+    n = M.shape[0]
+    floor = RADICAND_NOISE * n * np.finfo(float).eps
+    p = int(np.count_nonzero(1.0 - spectrum.eigenvalues > floor))
+    if p < n:
+        Q = spectrum.eigenvectors[:, :p]
+        C = Q.T @ M @ Q
+        rest = float(np.linalg.norm((M - np.eye(n)) - Q @ (C - np.eye(p)) @ Q.T, "fro"))
+        if rest <= eps / 2.0:
+            return Q, C, SymmetricSpectrum(spectrum.eigenvalues[:p], np.eye(p)), rest
+    return None, M.copy(), spectrum, 0.0
+
+
 def nearest_reflector(V) -> tuple[Reflector, float]:
     """Closest single reflection to an orthogonal matrix and its distance.
 
-    The minimizer is I - 2uu^T with u a bottom eigenvector of the symmetric
-    part; the distance has the closed form
-    sqrt(2n - 2 tr(V) + 4 lambda_min((V + V^T)/2)), clamped at zero.
+    The minimizer is H = I - 2uu^T with u a bottom eigenvector of the
+    symmetric part. The distance is ||I - HV||_F, evaluated directly; it
+    equals sqrt(2n - 2 tr(V) + 4 lambda_min((V + V^T)/2)), whose cancellation
+    near zero it avoids.
     """
     M = check_orthogonal(V)
-    n = M.shape[0]
-    spectrum = symmetric_eigendecomposition(symmetric_part(M))
-    reflector = Reflector(spectrum.eigenvectors[:, 0])
-    squared = 2.0 * n - 2.0 * np.trace(M) + 4.0 * spectrum.eigenvalues[0]
-    return reflector, float(np.sqrt(max(squared, 0.0)))
+    working = M.copy()
+    _, u = _peel(working, symmetric_eigendecomposition(symmetric_part(M)))
+    return Reflector(u), float(np.linalg.norm(working - np.eye(M.shape[0]), "fro"))
 
 
 def greedy_decompose(
@@ -95,6 +147,16 @@ def greedy_decompose(
     When V is exactly a product of p <= max_m reflections and eps is at
     exact-recovery scale (<= 1e-6), the run converges with exactly p factors,
     and p is minimal; min_factors provides the independent count.
+
+    One n-by-n eigensolve of sym(V) yields the moving subspace Q, C = Q^T V Q
+    and the first step; each later step costs one p-by-p eigensolve of the
+    working matrix C_w. Because the product is orthogonal,
+    ||product - V||_F = ||I - W||_F for the n-dimensional working matrix W,
+    and that equals sqrt(||I - C_w||_F^2 + rest^2), rest being the part of
+    V - I outside the compression. Trace rows stay in n dimensions:
+    trace = (tr V - tr C) + tr C_w and dim_e1 = (n - p) + the count of
+    sym(C_w)'s eigenvalues whose sqrt(2(1 - mu)) is under the rank tolerance.
+    When the dropped part exceeds eps/2, or nothing is dropped, Q = I.
     """
     M = check_orthogonal(V)
     n = M.shape[0]
@@ -106,23 +168,23 @@ def greedy_decompose(
         raise ValueError("eps must be positive")
     cap = min(max_m, n)
 
-    working = M.copy()          # H_k ... H_1 V, converges to I
-    accumulated = np.eye(n)     # H_1 ... H_k, converges to V
+    spectrum = symmetric_eigendecomposition(symmetric_part(M))
+    basis, working, spectrum, rest = _moving_subspace(M, spectrum, eps)
+    identity = np.eye(working.shape[0])
+    dropped_trace = float(np.trace(M) - np.trace(working))
     factors: list[Reflector] = []
     rows: list[TraceRow] = []
-    residual = float(np.linalg.norm(accumulated - M, "fro"))
-    while residual > eps and len(factors) < cap:
-        pre_trace = float(np.trace(working))
-        pre_dim = _fixed_subspace_dim(working)
+    residual = float(np.hypot(np.linalg.norm(identity - working, "fro"), rest))
+    while True:
+        working_trace = dropped_trace + float(np.trace(working))
+        dim_e1 = n - _moving_rank(spectrum.eigenvalues, n)
+        if residual <= eps or len(factors) >= cap:
+            break
+        lambda_min, a = _peel(working, spectrum)
+        factors.append(Reflector(a if basis is None else basis @ a))
+        residual = float(np.hypot(np.linalg.norm(identity - working, "fro"), rest))
+        rows.append(TraceRow(len(factors) - 1, residual, lambda_min, working_trace, dim_e1))
         spectrum = symmetric_eigendecomposition(symmetric_part(working))
-        lambda_min = float(spectrum.eigenvalues[0])
-        reflector = Reflector(spectrum.eigenvectors[:, 0])
-        u = reflector.u
-        working -= 2.0 * np.outer(u, u @ working)
-        accumulated -= 2.0 * np.outer(accumulated @ u, u)
-        factors.append(reflector)
-        residual = float(np.linalg.norm(accumulated - M, "fro"))
-        rows.append(TraceRow(len(factors) - 1, residual, lambda_min, pre_trace, pre_dim))
 
     if residual <= eps:
         termination = "converged"
@@ -134,8 +196,8 @@ def greedy_decompose(
         rows=tuple(rows),
         m=len(factors),
         final_residual=residual,
-        final_trace=float(np.trace(working)),
-        final_dim_e1=_fixed_subspace_dim(working),
+        final_trace=working_trace,
+        final_dim_e1=dim_e1,
         termination=termination,
     )
     return HouseholderProduct(n, tuple(factors)), trace

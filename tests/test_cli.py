@@ -99,6 +99,14 @@ def test_decompose_rejects_non_orthogonal(tmp_path, capsys):
     assert "not orthogonal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_decompose_rejects_non_finite_entries(tmp_path, capsys, bad):
+    matrix_path = tmp_path / "bad.mat"
+    matrix_path.write_text(f"3 3\n1 0 0\n0 1 {bad}\n0 0 1\n")
+    assert main(["decompose", str(matrix_path)]) == 1
+    assert "not orthogonal" in capsys.readouterr().err
+
+
 def test_decompose_missing_file_is_invalid(capsys):
     assert main(["decompose", "/nonexistent/v.mat"]) == 1
     capsys.readouterr()

@@ -53,6 +53,12 @@ def test_reflector_rejects_non_unit():
         Reflector(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reflector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Reflector(np.array([bad, 1.0, 0.0]))
+
+
 def test_reflector_direction_is_read_only():
     r = make_reflector([3.0, 4.0])
     with pytest.raises(ValueError):
@@ -302,6 +308,14 @@ def test_eigenspace_dimension_of_random_products(n, m):
 def test_check_orthogonal_rejects_non_orthogonal():
     with pytest.raises(ValueError, match="not orthogonal"):
         check_orthogonal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_orthogonal_rejects_non_finite(bad):
+    M = np.eye(3)
+    M[1, 2] = bad
+    with pytest.raises(ValueError, match="not orthogonal"):
+        check_orthogonal(M)
 
 
 def test_check_orthogonal_rejects_non_square():

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from hhfactor import (
+    DISTRIBUTIONS,
+    GeneratorSpec,
     HouseholderProduct,
     Reflector,
     apply,
+    eigenspace_one_dimension,
     greedy_decompose,
     haar_orthogonal,
     make_reflector,
@@ -16,7 +19,10 @@ from hhfactor import (
     symmetric_decompose,
     symmetric_eigendecomposition,
     symmetric_part,
+    synthesize,
 )
+from hhfactor import decompose
+from hhfactor.decompose import _moving_rank
 
 U_3X3 = np.array([2 / 3, 1 / 3, 2 / 3])
 
@@ -156,6 +162,152 @@ def test_greedy_factors_multiply_back_in_order():
     np.testing.assert_allclose(materialize(product), V, atol=1e-9)
     x = rng.standard_normal(12)
     np.testing.assert_allclose(apply(product, x), V @ x, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_greedy_rejects_non_finite_input(bad):
+    V = np.eye(3)
+    V[0, 1] = bad
+    with pytest.raises(ValueError, match="not orthogonal"):
+        greedy_decompose(V)
+
+
+# ------------------------------------------------- dense greedy as an oracle
+
+
+def dense_greedy_reference(V, max_m, eps):
+    """The greedy loop without moving-subspace compression, kept as an oracle.
+
+    Every step runs a full n-by-n eigh, takes dim_e1 from an SVD of W - I, and
+    measures the residual against a dense accumulated product. Returns the
+    rows as (residual, lambda_min, trace, dim_e1) tuples, the factor count,
+    the final residual, trace and dim_e1, and the termination.
+    """
+    n = V.shape[0]
+    tol = 1e-6 * np.sqrt(n)
+
+    def fixed_dim(W):
+        return n - int(np.count_nonzero(np.linalg.svd(W - np.eye(n), compute_uv=False) > tol))
+
+    working = V.copy()
+    accumulated = np.eye(n)
+    rows = []
+    residual = float(np.linalg.norm(accumulated - V, "fro"))
+    while residual > eps and len(rows) < min(max_m, n):
+        pre_trace, pre_dim = float(np.trace(working)), fixed_dim(working)
+        eigenvalues, eigenvectors = np.linalg.eigh(symmetric_part(working))
+        u = eigenvectors[:, 0]
+        working -= 2.0 * np.outer(u, u @ working)
+        accumulated -= 2.0 * np.outer(accumulated @ u, u)
+        residual = float(np.linalg.norm(accumulated - V, "fro"))
+        rows.append((residual, float(eigenvalues[0]), pre_trace, pre_dim))
+    if residual <= eps:
+        termination = "converged"
+    elif max_m < n:
+        termination = "m_cap"
+    else:
+        termination = "n_cap"
+    final = (residual, float(np.trace(working)), fixed_dim(working))
+    return rows, len(rows), final, termination
+
+
+def oracle_instances():
+    """Seeded (label, V, max_m) cases covering every path through the greedy."""
+    cases = []
+    for dist in DISTRIBUTIONS:
+        for n, m in ((24, 3), (32, 12), (20, 20)):
+            V, _ = synthesize(GeneratorSpec(dist, n=n, m=m, seed=7 * n + m))
+            cases.append((f"{dist}-n{n}-m{m}", V, n))
+    cases.append(("negated-identity", -np.eye(12), 12))
+    cases.append(("identity", np.eye(9), 9))
+    rng = np.random.default_rng(40)
+    Q = haar_orthogonal(rng, 14)
+    cases.append(("symmetric-4-of-14", (Q * np.repeat([-1.0, 1.0], [4, 10])) @ Q.T, 14))
+    for det in (1.0, -1.0):
+        V = haar_orthogonal(rng, 16)
+        if np.linalg.det(V) * det < 0:
+            V[:, 0] = -V[:, 0]
+        cases.append((f"haar-det{det:+.0f}", V, 16))
+    V, _ = synthesize(GeneratorSpec("gaussian", n=32, m=12, seed=41))
+    cases.append(("budget-below-p", V, 5))
+    # m = n exponential products whose two smallest singular values of V - I
+    # lie under min_factors' 1e-6 * sqrt(n) threshold: seed 69 just under it
+    # (9.4e-6), seed 95 under the compression's roundoff floor too (9.2e-7)
+    for seed in (69, 95):
+        V, _ = synthesize(GeneratorSpec("exponential", n=96, m=96, seed=seed))
+        cases.append((f"borderline-exponential-seed{seed}", V, 96))
+    return cases
+
+
+ORACLE_INSTANCES = oracle_instances()
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-6, 1e-10])
+@pytest.mark.parametrize("case", ORACLE_INSTANCES, ids=[c[0] for c in ORACLE_INSTANCES])
+def test_greedy_matches_dense_oracle(case, eps):
+    _, V, max_m = case
+    product, trace = greedy_decompose(V, max_m=max_m, eps=eps)
+    rows, m, (final_residual, final_trace, final_dim), termination = (
+        dense_greedy_reference(V, max_m, eps)
+    )
+    assert trace.m == m
+    assert trace.termination == termination
+    assert [row.dim_e1 for row in trace.rows] == [row[3] for row in rows]
+    assert trace.final_dim_e1 == final_dim
+    got = [(row.residual, row.lambda_min, row.trace) for row in trace.rows]
+    np.testing.assert_allclose(got, [row[:3] for row in rows], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(
+        [trace.final_residual, trace.final_trace], [final_residual, final_trace], atol=1e-8
+    )
+    dense_residual = np.linalg.norm(materialize(product) - V, "fro")
+    assert abs(trace.final_residual - dense_residual) <= 1e-9
+
+
+def test_greedy_borderline_rank_keeps_all_factors():
+    # min_factors counts 94, but the product needs all 96 reflections
+    V, _ = synthesize(GeneratorSpec("exponential", n=96, m=96, seed=69))
+    assert min_factors(V) == 94
+    _, trace = greedy_decompose(V, eps=1e-6)
+    assert trace.m == 96
+    assert trace.termination == "converged"
+
+
+def test_greedy_eigensolves_are_p_by_p_after_entry(monkeypatch):
+    # one n-by-n eigensolve at entry, then one p-by-p eigensolve per step
+    # (the last one gives final_dim_e1), and no SVD of an n-by-n matrix
+    rng = np.random.default_rng(42)
+    n, p = 64, 6
+    V = materialize(random_product(rng, n, p))
+    sizes = []
+    solver = decompose.symmetric_eigendecomposition
+
+    def recording(A):
+        sizes.append(A.shape[0])
+        return solver(A)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("greedy_decompose must not take an SVD")
+
+    monkeypatch.setattr(decompose, "symmetric_eigendecomposition", recording)
+    monkeypatch.setattr(decompose, "_fixed_subspace_dim", no_svd)
+    _, trace = greedy_decompose(V, eps=1e-6)
+    assert trace.m == p
+    assert sizes == [n] + [p] * p
+
+
+def test_fixed_dimension_from_symmetric_spectrum_matches_svd():
+    # for orthogonal W, the singular values of W - I are sqrt(2(1 - mu)) over
+    # the eigenvalues mu of sym(W), so both rank counts must agree
+    checked = 0
+    for dist in DISTRIBUTIONS:
+        for n in (16, 48, 96):
+            for m in (1, n // 3, n):
+                for seed in range(3):
+                    W, _ = synthesize(GeneratorSpec(dist, n=n, m=m, seed=1000 * n + 10 * m + seed))
+                    mu = np.linalg.eigvalsh(symmetric_part(W))
+                    assert n - _moving_rank(mu, n) == eigenspace_one_dimension(W), (dist, n, m, seed)
+                    checked += 1
+    assert checked == len(DISTRIBUTIONS) * 27
 
 
 # ------------------------------------------------------------ trace records
