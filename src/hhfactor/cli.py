@@ -19,7 +19,7 @@ from . import fileio
 from .bench import run_benchmark
 from .core import apply as apply_product
 from .core import check_orthogonal
-from .decompose import greedy_decompose, residual_upper_bound
+from .decompose import _residual_bounds, greedy_decompose
 from .dictlearn import (
     AmbiguousRecoveryError,
     ENUMERATION_CAP,
@@ -122,22 +122,24 @@ def cmd_decompose(args) -> int:
     if not args.input:
         print("error: an input matrix file is required without --sweep", file=sys.stderr)
         return EXIT_INVALID
-    matrix = check_orthogonal(fileio.load_matrix(args.input))
-    max_m = args.max_m if args.max_m is not None else matrix.shape[0]
-    return _decompose_one(matrix, max_m, args.eps, args.trace, args.out)
+    matrix = fileio.load_matrix(args.input)
+    return _decompose_one(matrix, args.max_m, args.eps, args.trace, args.out)
 
 
 def cmd_bound(args) -> int:
     matrix = check_orthogonal(fileio.load_matrix(args.input))
+    bound = _residual_bounds(matrix)
     print("m,bound")
     for m in _parse_range(args.m_range, matrix.shape[0]):
-        print(f"{m},{fileio.FLOAT_FMT % residual_upper_bound(matrix, m)}")
+        print(f"{m},{fileio.FLOAT_FMT % bound(m)}")
     return EXIT_OK
 
 
 def cmd_apply(args) -> int:
     product = fileio.load_product(args.factors)
     vectors = fileio.load_matrix(args.input)
+    if not np.isfinite(vectors).all():
+        raise ValueError("vector file has non-finite entries")
     if vectors.shape[0] != product.n:
         raise ValueError(
             f"vector file has {vectors.shape[0]} rows, product expects {product.n}"

@@ -255,15 +255,23 @@ def residual_upper_bound(V, m: int) -> float:
     eigenvalues of (V + V^T)/2)). Radicands within numerical noise of zero are
     clamped to zero. The bound is not tight for odd m.
     """
-    M = check_orthogonal(V)
+    return _residual_bounds(check_orthogonal(V))(m)
+
+
+def _residual_bounds(M: np.ndarray):
+    """residual_upper_bound(M, .) as a function of m, for a validated M eigensolved once."""
     n = M.shape[0]
-    if not 0 <= m <= n:
-        raise ValueError(f"m must be in [0, {n}], got {m}")
     eigenvalues = symmetric_eigendecomposition(symmetric_part(M)).eigenvalues
-    radicand = 2.0 * (n - np.trace(M) - 2 * (m // 2) + eigenvalues[:m].sum())
-    if radicand <= RADICAND_NOISE * n * np.finfo(float).eps:
-        return 0.0
-    return float(np.sqrt(radicand))
+
+    def bound(m: int) -> float:
+        if not 0 <= m <= n:
+            raise ValueError(f"m must be in [0, {n}], got {m}")
+        radicand = 2.0 * (n - np.trace(M) - 2 * (m // 2) + eigenvalues[:m].sum())
+        if radicand <= RADICAND_NOISE * n * np.finfo(float).eps:
+            return 0.0
+        return float(np.sqrt(radicand))
+
+    return bound
 
 
 def min_factors(V) -> int:

@@ -3,9 +3,10 @@
 Data columns follow y = (I - 2uu^T) x with x a 0/1 vector. Reflections
 preserve norms, so ||y||^2 must equal the popcount of x; for a guessed x with
 matching norm the direction is pinned down (up to sign) as (x - y)/||x - y||.
-Brute-force enumeration of guesses per column plus a two-column intersection
-identifies u uniquely; the enumeration is exponential by design and refuses
-instances above a size cap.
+Brute-force enumeration of one column's guesses gives a finite candidate set;
+the second column decodes through each candidate to its single possible
+guess, which picks u out of the set. The enumeration is exponential by design
+and refuses instances above a size cap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .core import Reflector, SIGN_EPS, make_reflector
 NORM_MATCH_ATOL = 1e-6   # |popcount - ||y||^2| above this rules a guess out
 SOLUTION_ATOL = 1e-9     # re-substitution residual allowed for a candidate
 FIXED_ATOL = 1e-9        # ||x - y|| at or below this means the column is fixed
-MATCH_ATOL = 1e-8        # +-equivalence threshold when intersecting candidates
+MATCH_ATOL = 1e-8        # +-equivalence threshold when matching candidates
 DECODE_ATOL = 1e-6       # how far decoded codes may sit from {0, 1}
 ENUMERATION_CAP = 24     # brute force is exponential; refuse larger instances
 
@@ -86,39 +87,6 @@ def _canonicalize_rows(U: np.ndarray) -> np.ndarray:
     return U * signs[:, None]
 
 
-def _windowed_scan(A: np.ndarray, B: np.ndarray, tol: float):
-    """Yield (i, distances) for rows of A against the tol-window of sorted B.
-
-    Canonical rows that match up to sign have first coordinates within
-    tol (plus sign-anchor slack), so sorting B by its first coordinate
-    bounds each scan to a narrow window.
-    """
-    order = np.argsort(B[:, 0], kind="stable")
-    sorted_B = B[order]
-    first = sorted_B[:, 0]
-    window = tol + 1e-9
-    for i, row in enumerate(A):
-        lo = np.searchsorted(first, row[0] - window, "left")
-        hi = np.searchsorted(first, row[0] + window, "right")
-        if lo == hi:
-            yield i, None, None
-            continue
-        block = sorted_B[lo:hi]
-        distances = np.minimum(
-            np.linalg.norm(block - row, axis=1), np.linalg.norm(block + row, axis=1)
-        )
-        yield i, distances, order[lo:hi]
-
-
-def _match_mask(A: np.ndarray, B: np.ndarray, tol: float) -> np.ndarray:
-    """Per row of A: does any row of B match it up to sign within tol."""
-    mask = np.zeros(A.shape[0], dtype=bool)
-    if B.shape[0]:
-        for i, distances, _ in _windowed_scan(A, B, tol):
-            mask[i] = distances is not None and bool((distances <= tol).any())
-    return mask
-
-
 def _dedupe_rows(U: np.ndarray, tol: float) -> np.ndarray:
     """Indices of one representative per sign-equivalence class, ascending."""
     count = U.shape[0]
@@ -178,6 +146,20 @@ def _support_blocks(n: int, ones: int):
         yield np.array(block, dtype=np.intp)
 
 
+def _solve_rows(X: np.ndarray, y: np.ndarray, ones: int):
+    """solve_column on each row of X: (any row equals y, solving rows, their directions)."""
+    D = X - y
+    distances = np.linalg.norm(D, axis=1)
+    fixed = distances <= FIXED_ATOL * max(1.0, np.sqrt(float(ones)))
+    usable = np.flatnonzero(~fixed)
+    U = D[usable] / distances[usable, None]
+    Xu = X[usable]
+    coefficients = np.einsum("ij,ij->i", U, Xu)
+    residuals = np.linalg.norm(Xu - 2.0 * coefficients[:, None] * U - y, axis=1)
+    solved = residuals <= SOLUTION_ATOL
+    return bool(fixed.any()), usable[solved], _canonicalize_rows(U[solved])
+
+
 def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
     """All reflector candidates for one column under binary codes.
 
@@ -188,6 +170,8 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
     sign) are dropped.
     """
     y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("column has non-finite entries")
     n = y.shape[0]
     if n > cap:
         raise InstanceTooLargeError(
@@ -200,26 +184,17 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
     if ones == 0:
         return CandidateSet((), (), note="zero column")
 
-    fixed_cut = FIXED_ATOL * max(1.0, np.sqrt(float(ones)))
     has_marker = False
     direction_blocks: list[np.ndarray] = []
     guess_blocks: list[np.ndarray] = []
     for supports in _support_blocks(n, ones):
         X = np.zeros((supports.shape[0], n))
         X[np.arange(supports.shape[0])[:, None], supports] = 1.0
-        D = X - y
-        distances = np.linalg.norm(D, axis=1)
-        if (distances <= fixed_cut).any():
-            has_marker = True
-        usable = distances > fixed_cut
-        U = D[usable] / distances[usable, None]
-        Xu = X[usable]
-        coefficients = np.einsum("ij,ij->i", U, Xu)
-        residuals = np.linalg.norm(Xu - 2.0 * coefficients[:, None] * U - y, axis=1)
-        solved = residuals <= SOLUTION_ATOL
-        if solved.any():
-            direction_blocks.append(_canonicalize_rows(U[solved]))
-            guess_blocks.append(Xu[solved])
+        fixed, solved, directions = _solve_rows(X, y, ones)
+        has_marker = has_marker or fixed
+        if solved.size:
+            direction_blocks.append(directions)
+            guess_blocks.append(X[solved])
 
     if not direction_blocks:
         return CandidateSet((), (), has_marker)
@@ -249,20 +224,43 @@ def _is_binary(y: np.ndarray) -> bool:
     return bool(rounded.min() >= 0.0 and rounded.max() <= 1.0)
 
 
+def _match_mask(U: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row u of U: does the decoded guess rint(H_u y) solve y along +-u.
+
+    Any guess solving y along a direction within MATCH_ATOL of u lies within
+    rounding distance of H_u y, so rint(H_u y) is the only guess to test.
+    """
+    norm_sq = float(y @ y)
+    ones = round(norm_sq)
+    guesses = np.rint(y - 2.0 * (U @ y)[:, None] * U)
+    plausible = np.flatnonzero(
+        ((guesses == 0.0) | (guesses == 1.0)).all(axis=1)
+        & (guesses.sum(axis=1) == ones)
+        & (0 < ones and abs(norm_sq - ones) <= NORM_MATCH_ATOL)
+    )
+    _, solved, directions = _solve_rows(guesses[plausible], y, ones)
+    rows = plausible[solved]
+    signs = np.sign(np.einsum("ij,ij->i", directions, U[rows]))[:, None]
+    mask = np.zeros(U.shape[0], dtype=bool)
+    mask[rows[np.linalg.norm(directions - signs * U[rows], axis=1) <= MATCH_ATOL]] = True
+    return mask
+
+
 def recover(Y, cap: int = ENUMERATION_CAP) -> RecoveryResult:
     """Recover the reflection dictionary and binary codes from Y = (I-2uu^T) X.
 
-    Intersects the candidate sets of the first two informative columns; under
-    the binary model that intersection contains a single reflection, which
-    then decodes every column of X directly (x = H y, H being an involution).
+    Enumerates the candidate set of the first informative column and decodes
+    the second one through each candidate (x = H y, H being an involution);
+    under the binary model exactly one candidate decodes it to a binary
+    solution, and that reflection then decodes every column of X directly.
 
     Degenerate columns carry no usable finite candidates and are skipped when
-    picking the two columns to intersect: zero columns, columns that are
-    themselves binary (the dictionary may fix them), and duplicates of an
-    already chosen column.
+    picking the two columns: zero columns, columns that are themselves binary
+    (the dictionary may fix them), and duplicates of the first column, which
+    are still enumerated and decide only when no distinct column exists.
 
     Raises:
-        ValueError: fewer than two data columns.
+        ValueError: fewer than two data columns, or non-finite entries.
         InstanceTooLargeError: n exceeds the enumeration cap.
         NoCommonCandidateError: no reflection is consistent with the chosen
             columns, or decoding does not yield binary codes.
@@ -275,58 +273,57 @@ def recover(Y, cap: int = ENUMERATION_CAP) -> RecoveryResult:
     n, p = Y.shape
     if p < 2:
         raise ValueError("recovery needs at least two data columns")
+    if not np.isfinite(Y).all():
+        raise ValueError("data has non-finite entries")
     if n > cap:
         raise InstanceTooLargeError(
             f"instance too large: n = {n} exceeds enumeration cap {cap}"
         )
 
-    chosen: list[tuple[int, CandidateSet]] = []
-    duplicates: list[tuple[int, CandidateSet]] = []
+    index_a = index_b = duplicate = None
     for j in range(p):
         column = Y[:, j]
         if np.linalg.norm(column) <= FIXED_ATOL:
             continue  # zero column: satisfied by every direction
         if _is_binary(column):
             continue  # possibly fixed by the dictionary; finite candidates mislead
+        if index_a is not None and not np.allclose(column, Y[:, index_a], atol=1e-12):
+            index_b = j
+            break
+        # a duplicate is still enumerated: a near-duplicate's norm may rule out all guesses
         candidate_set = enumerate_candidates(column, cap=cap)
         if len(candidate_set) == 0:
             raise NoCommonCandidateError(
                 f"no common candidate: column {j} admits no reflection under binary codes"
             )
-        if any(np.allclose(column, Y[:, i], atol=1e-12) for i, _ in chosen):
-            duplicates.append((j, candidate_set))
-            continue
-        chosen.append((j, candidate_set))
-        if len(chosen) == 2:
-            break
-    if len(chosen) < 2:
-        chosen.extend(duplicates)
-    if len(chosen) < 2:
+        if index_a is None:
+            index_a, set_a = j, candidate_set
+        elif duplicate is None:
+            duplicate = j
+    index_b = duplicate if index_b is None else index_b
+    if index_b is None:
         raise AmbiguousRecoveryError(
             "ambiguous: fewer than two informative columns in the data"
         )
 
-    (index_a, set_a), (index_b, set_b) = chosen[0], chosen[1]
-    matches = _match_mask(set_a.directions(), set_b.directions(), MATCH_ATOL)
-    count = int(matches.sum())
-    if count == 0:
+    matches = np.flatnonzero(_match_mask(set_a.directions(), Y[:, index_b]))
+    if len(matches) == 0:
         raise NoCommonCandidateError(
             f"no common candidate between columns {index_a} and {index_b}"
         )
-    if count > 1:
+    if len(matches) > 1:
         raise AmbiguousRecoveryError(
-            f"ambiguous: columns {index_a} and {index_b} share {count} candidates"
+            f"ambiguous: columns {index_a} and {index_b} share {len(matches)} candidates"
         )
-    u = set_a.candidates[int(np.flatnonzero(matches)[0])]
+    u = set_a.candidates[int(matches[0])]
 
-    H = np.eye(n) - 2.0 * np.outer(u.u, u.u)
-    decoded = H @ Y  # H is its own inverse
-    X = np.rint(decoded)
-    if np.max(np.abs(decoded - X)) > DECODE_ATOL or X.min() < 0.0 or X.max() > 1.0:
+    decoded = Y - 2.0 * np.outer(u.u, u.u @ Y)  # H is its own inverse
+    if not _is_binary(decoded):
         raise NoCommonCandidateError(
             "codes decoded from the recovered reflection are not binary"
         )
-    residual = float(np.linalg.norm(H @ X - Y, "fro"))
+    X = np.rint(decoded)
+    residual = float(np.linalg.norm(X - 2.0 * np.outer(u.u, u.u @ X) - Y, "fro"))
     return RecoveryResult(u, X.astype(int), residual)
 
 

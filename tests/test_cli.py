@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hhfactor import HouseholderProduct, make_reflector, materialize
+import hhfactor.decompose as decompose
+from hhfactor import (
+    GeneratorSpec,
+    HouseholderProduct,
+    make_reflector,
+    materialize,
+    residual_upper_bound,
+    synthesize,
+)
 from hhfactor import fileio
 from hhfactor.cli import main
 
@@ -159,6 +167,33 @@ def test_bound_command_reports_zero_for_exact_pair(tmp_path, capsys):
     assert lines[1] == "2,0"
 
 
+def test_bound_command_matches_public_function(tmp_path, capsys):
+    V, _ = synthesize(GeneratorSpec("gaussian", n=12, m=7, seed=4))
+    matrix_path = tmp_path / "v.mat"
+    fileio.save_matrix(matrix_path, V)
+    V = fileio.load_matrix(matrix_path)
+    assert main(["bound", str(matrix_path), "--m-range", "0:12"]) == 0
+    expected = "m,bound\n" + "".join(
+        f"{m},{fileio.FLOAT_FMT % residual_upper_bound(V, m)}\n" for m in range(13)
+    )
+    assert capsys.readouterr().out == expected
+
+
+def test_bound_command_eigensolves_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    eigensolve = decompose.symmetric_eigendecomposition
+    monkeypatch.setattr(
+        decompose,
+        "symmetric_eigendecomposition",
+        lambda A: calls.append(A.shape) or eigensolve(A),
+    )
+    matrix_path = tmp_path / "v.mat"
+    write_worked_matrix(matrix_path)
+    assert main(["bound", str(matrix_path), "--m-range", "0:3"]) == 0
+    assert calls == [(3, 3)]
+    capsys.readouterr()
+
+
 def test_apply_empty_product_echoes_vectors(tmp_path, capsys):
     factors_path = tmp_path / "id.hprod"
     fileio.save_product(factors_path, HouseholderProduct(3))
@@ -193,6 +228,17 @@ def test_apply_rejects_shape_mismatch(tmp_path, capsys):
     fileio.save_matrix(vector_path, np.ones((4, 1)))
     assert main(["apply", str(factors_path), str(vector_path)]) == 1
     capsys.readouterr()
+
+
+def test_apply_rejects_non_finite_vectors(tmp_path, capsys):
+    factors_path = tmp_path / "p.hprod"
+    fileio.save_product(factors_path, HouseholderProduct(3, (make_reflector(U_TRUE),)))
+    vector_path = tmp_path / "x.mat"
+    vector_path.write_text("3 1\n1\nnan\n0\n")
+    assert main(["apply", str(factors_path), str(vector_path)]) == 1
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == ""
 
 
 def test_recover_worked_example(tmp_path, capsys):
@@ -233,6 +279,13 @@ def test_recover_inconsistent_data_has_no_solution(tmp_path, capsys):
     fileio.save_matrix(data_path, np.column_stack([H1 @ x1, H2 @ x2]))
     assert main(["recover", str(data_path)]) == 4
     assert "no solution" in capsys.readouterr().out
+
+
+def test_recover_rejects_non_finite_data(tmp_path, capsys):
+    data_path = tmp_path / "y.mat"
+    data_path.write_text("3 2\n0.5 0\nnan 0.5\n0.5 0.5\n")
+    assert main(["recover", str(data_path)]) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_recover_single_column_is_invalid(tmp_path, capsys):

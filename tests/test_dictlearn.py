@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hhfactor.dictlearn as dictlearn
 from hhfactor import (
     AmbiguousRecoveryError,
     InstanceTooLargeError,
     NoCommonCandidateError,
     SUBSPACE_MARKER,
+    RecoveryResult,
     Reflector,
     enumerate_candidates,
     make_reflector,
@@ -18,6 +20,7 @@ from hhfactor import (
     same_reflector,
     solve_column,
 )
+from hhfactor.dictlearn import DECODE_ATOL, FIXED_ATOL, MATCH_ATOL
 
 U_TRUE = np.array([2 / 3, 1 / 3, 2 / 3])
 
@@ -272,6 +275,160 @@ def test_recover_roundtrip_randomized(n, seed):
     result = recover(Y)
     assert same_reflector(result.u, u)
     np.testing.assert_array_equal(result.X, X.astype(int))
+
+
+def test_recover_rejects_non_finite_data(worked_Y):
+    for bad in (np.nan, np.inf):
+        Y = worked_Y.copy()
+        Y[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            recover(Y)
+
+
+def test_enumerate_rejects_non_finite_column():
+    with pytest.raises(ValueError, match="non-finite"):
+        enumerate_candidates(np.array([0.5, np.nan, 0.5]))
+
+
+# ------------------------------------------- recover against the two-set path
+
+
+def two_set_recover(Y):
+    """Oracle: enumerate both chosen columns and pair their candidate sets.
+
+    Column selection skips zero, binary and duplicate columns, enumerating
+    every column it looks at; the candidates common to both sets (paired with
+    same_reflector) decide, and a dense reflection decodes X.
+    """
+    Y = np.asarray(Y, dtype=float)
+    chosen, duplicates = [], []
+    for j in range(Y.shape[1]):
+        column = Y[:, j]
+        if np.linalg.norm(column) <= FIXED_ATOL:
+            continue
+        rounded = np.rint(column)
+        if np.max(np.abs(column - rounded)) <= DECODE_ATOL and set(rounded) <= {0.0, 1.0}:
+            continue
+        candidate_set = enumerate_candidates(column)
+        if len(candidate_set) == 0:
+            raise NoCommonCandidateError(f"column {j} admits no reflection")
+        if any(np.allclose(column, Y[:, i], atol=1e-12) for i, _ in chosen):
+            duplicates.append((j, candidate_set))
+            continue
+        chosen.append((j, candidate_set))
+        if len(chosen) == 2:
+            break
+    if len(chosen) < 2:
+        chosen.extend(duplicates)
+    if len(chosen) < 2:
+        raise AmbiguousRecoveryError("fewer than two informative columns")
+    (_, set_a), (_, set_b) = chosen[:2]
+    common = [
+        a for a in set_a.candidates
+        if any(same_reflector(a, b, MATCH_ATOL) for b in set_b.candidates)
+    ]
+    if not common:
+        raise NoCommonCandidateError("no common candidate")
+    if len(common) > 1:
+        raise AmbiguousRecoveryError(f"{len(common)} common candidates")
+    u = common[0]
+    H = reflection(u.u)
+    decoded = H @ Y
+    X = np.rint(decoded)
+    if np.max(np.abs(decoded - X)) > DECODE_ATOL or X.min() < 0.0 or X.max() > 1.0:
+        raise NoCommonCandidateError("decoded codes are not binary")
+    return RecoveryResult(u, X.astype(int), float(np.linalg.norm(H @ X - Y, "fro")))
+
+
+def recovery_outcome(method, Y):
+    """(verdict, u, X) with verdict the class name of the raised error or "unique"."""
+    try:
+        result = method(Y)
+    except (AmbiguousRecoveryError, NoCommonCandidateError) as exc:
+        return type(exc).__name__, None, None
+    return "unique", result.u.u, result.X
+
+
+def sweep_instance(rng, kind, n):
+    """Data of one kind for the oracle sweep, built from a random u and binary X."""
+    u = make_reflector(rng.standard_normal(n))
+    if kind == "sparse-u":
+        direction = np.zeros(n)
+        direction[rng.choice(n, size=2, replace=False)] = rng.standard_normal(2)
+        u = make_reflector(direction)
+    H = reflection(u.u)
+    X = rng.integers(0, 2, size=(n, int(rng.integers(2, 4)))).astype(float)
+    Y = H @ X
+    other = reflection(make_reflector(rng.standard_normal(n)).u)
+    if kind == "identical":
+        Y = np.column_stack([Y[:, 0]] * Y.shape[1])
+    elif kind == "near-duplicate":
+        scale = 10.0 ** rng.uniform(-14.0, -5.0)
+        Y[:, 1] = Y[:, 0] + scale * rng.standard_normal(n)
+    elif kind == "non-integer-norm":
+        Y[:, int(rng.integers(0, 2))] *= 1.0 + rng.uniform(0.05, 0.4)
+    elif kind == "two-reflectors":
+        Y[:, 1] = other @ X[:, 1]
+    elif kind == "third-reflector":
+        Y = np.column_stack([Y, other @ rng.integers(0, 2, size=n)])
+    elif kind == "zero-column":
+        Y = np.insert(Y, int(rng.integers(0, Y.shape[1] + 1)), 0.0, axis=1)
+    elif kind.startswith("noise"):
+        Y = Y + float(kind.split()[1]) * rng.standard_normal(Y.shape)
+    return Y
+
+
+SWEEP_KINDS = (
+    "plain", "identical", "near-duplicate", "non-integer-norm", "two-reflectors",
+    "third-reflector", "sparse-u", "zero-column",
+    "noise 1e-10", "noise 3e-10", "noise 1e-9", "noise 3e-9", "noise 1e-7",
+)
+
+
+def test_recover_agrees_with_two_set_oracle():
+    rng = np.random.default_rng(36)
+    verdicts = {}
+    for index in range(520):
+        kind = SWEEP_KINDS[index % len(SWEEP_KINDS)]
+        n = int(rng.integers(2, 11))
+        Y = sweep_instance(rng, kind, n)
+        verdict, u, X = recovery_outcome(recover, Y)
+        expected_verdict, expected_u, expected_X = recovery_outcome(two_set_recover, Y)
+        assert verdict == expected_verdict, (index, kind, n)
+        if verdict == "unique":
+            np.testing.assert_array_equal(u, expected_u)
+            np.testing.assert_array_equal(X, expected_X)
+        verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    # every verdict class is exercised, so agreement is not vacuous
+    assert set(verdicts) == {"unique", "AmbiguousRecoveryError", "NoCommonCandidateError"}
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def count_enumerations(monkeypatch):
+    calls = []
+
+    def counted(y, cap):
+        calls.append(np.array(y))
+        return enumerate_candidates(y, cap=cap)
+
+    monkeypatch.setattr(dictlearn, "enumerate_candidates", counted)
+    return calls
+
+
+def test_recover_enumerates_one_of_two_distinct_columns(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    u, X, Y = random_instance(np.random.default_rng(37), 9, 2)
+    result = recover(Y)
+    assert same_reflector(result.u, u)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], Y[:, 0])
+
+
+def test_recover_enumerates_both_identical_columns(monkeypatch, worked_Y):
+    calls = count_enumerations(monkeypatch)
+    with pytest.raises(AmbiguousRecoveryError):
+        recover(np.column_stack([worked_Y[:, 0]] * 2))
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------ non_uniqueness_example
