@@ -23,7 +23,6 @@ from .decompose import _residual_bounds, greedy_decompose
 from .dictlearn import (
     AmbiguousRecoveryError,
     ENUMERATION_CAP,
-    InstanceTooLargeError,
     NoCommonCandidateError,
     recover,
 )
@@ -69,15 +68,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _decompose_one(matrix, max_m, eps, trace_path, out_path, label=""):
+def _decompose_one(matrix, max_m, eps, trace_path, out_path):
     product, trace = greedy_decompose(matrix, max_m=max_m, eps=eps)
     if trace_path:
         fileio.save_trace_csv(trace_path, trace)
     if out_path:
         fileio.save_product(out_path, product)
-    prefix = f"{label}: " if label else ""
     print(
-        f"{prefix}m={trace.m} residual={trace.final_residual:.6g} "
+        f"m={trace.m} residual={trace.final_residual:.6g} "
         f"termination={trace.termination}"
     )
     return EXIT_OK if trace.termination == "converged" else EXIT_CAP
@@ -129,9 +127,12 @@ def cmd_decompose(args) -> int:
 def cmd_bound(args) -> int:
     matrix = check_orthogonal(fileio.load_matrix(args.input))
     bound = _residual_bounds(matrix)
-    print("m,bound")
-    for m in _parse_range(args.m_range, matrix.shape[0]):
-        print(f"{m},{fileio.FLOAT_FMT % bound(m)}")
+    # every m is checked before any row is printed, so a bad range writes nothing
+    rows = [
+        f"{m},{fileio.FLOAT_FMT % bound(m)}\n"
+        for m in _parse_range(args.m_range, matrix.shape[0])
+    ]
+    sys.stdout.write("m,bound\n" + "".join(rows))
     return EXIT_OK
 
 
@@ -259,9 +260,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,12 +63,15 @@ def solve_column(y, x) -> Reflector | _SubspaceMarker | None:
     Returns the canonical Reflector when the unique-up-to-sign solution
     exists, SUBSPACE_MARKER when x equals y (the column is fixed and only
     constrains u to be orthogonal to it), and None when no unit-norm solution
-    exists. Candidates are re-substituted before being accepted.
+    exists. Candidates are re-substituted before being accepted; NaN or inf
+    in either vector raises ValueError.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.shape != y.shape:
         raise ValueError("dimension mismatch between column and guess")
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise ValueError("column or guess has non-finite entries")
     difference = x - y
     if np.linalg.norm(difference) <= FIXED_ATOL * max(1.0, np.linalg.norm(x)):
         return SUBSPACE_MARKER
@@ -87,54 +91,38 @@ def _canonicalize_rows(U: np.ndarray) -> np.ndarray:
     return U * signs[:, None]
 
 
-def _dedupe_rows(U: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of one representative per sign-equivalence class, ascending."""
-    count = U.shape[0]
-    if count == 0:
-        return np.array([], dtype=np.intp)
-    order = np.argsort(U[:, 0], kind="stable")
-    first = U[order, 0]
-    window = tol + 1e-9
-    keep = np.zeros(count, dtype=bool)
-    for position, index in enumerate(order):
-        row = U[index]
-        lo = np.searchsorted(first, row[0] - window, "left")
-        duplicate = False
-        for earlier in range(lo, position):
-            other = order[earlier]
-            if not keep[other]:
-                continue
-            b = U[other]
-            if min(np.linalg.norm(row - b), np.linalg.norm(row + b)) <= tol:
-                duplicate = True
-                break
-        if not duplicate:
-            keep[index] = True
-    return np.flatnonzero(keep)
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """Reflector candidates induced by one data column.
 
-    guesses holds the binary vector behind each candidate. A subspace
-    constraint is recorded when some guess equals the column itself; note
-    explains empty sets (zero column, norm not near an integer).
+    directions holds the canonical unit direction of each candidate as a row
+    and codes (np.int8, 0/1) the binary guess behind it; both are read-only
+    with shape (k, n), rows in lexicographic order of the guess's support.
+    candidates and guesses are the same rows as Reflector and int tuples,
+    built on first access. A subspace constraint is recorded when some guess
+    equals the column itself; note explains empty sets (zero column, norm not
+    near an integer).
     """
 
-    candidates: tuple[Reflector, ...]
-    guesses: tuple[tuple[int, ...], ...]
+    directions: np.ndarray
+    codes: np.ndarray
     has_subspace_constraint: bool = False
     note: str = ""
 
-    def __len__(self) -> int:
-        return len(self.candidates)
+    def __post_init__(self):
+        self.directions.setflags(write=False)
+        self.codes.setflags(write=False)
 
-    def directions(self) -> np.ndarray:
-        """Candidate directions stacked as rows (empty (0, 0) when none)."""
-        if not self.candidates:
-            return np.empty((0, 0))
-        return np.array([c.u for c in self.candidates])
+    def __len__(self) -> int:
+        return self.directions.shape[0]
+
+    @cached_property
+    def candidates(self) -> tuple[Reflector, ...]:
+        return tuple(Reflector(u) for u in self.directions)
+
+    @cached_property
+    def guesses(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.codes.tolist()))
 
 
 def _support_blocks(n: int, ones: int):
@@ -166,8 +154,12 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
     Only guesses whose popcount matches round(||y||^2) can solve the column,
     which prunes the 2^n guesses down to one binomial slice; supports are
     visited in lexicographic order and solved in vectorized blocks (the
-    scalar reference path is solve_column). Duplicate candidates (up to
-    sign) are dropped.
+    scalar reference path is solve_column). No two candidates describe the
+    same reflection: H_u is an involution, so a guess solving y along u lies
+    within SOLUTION_ATOL of H_u y, and two guesses whose directions agree up
+    to sign within MATCH_ATOL lie within about
+    4 * MATCH_ATOL * ||y|| + 2 * SOLUTION_ATOL of each other, far below the
+    distance 1 between distinct binary vectors.
     """
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
@@ -177,35 +169,25 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
         raise InstanceTooLargeError(
             f"instance too large: n = {n} exceeds enumeration cap {cap}"
         )
+    no_rows = (np.empty((0, n)), np.empty((0, n), dtype=np.int8))
     norm_sq = float(y @ y)
     ones = int(round(norm_sq))
     if ones < 0 or ones > n or abs(norm_sq - ones) > NORM_MATCH_ATOL:
-        return CandidateSet((), (), note="column norm inconsistent with binary codes")
+        return CandidateSet(*no_rows, note="column norm inconsistent with binary codes")
     if ones == 0:
-        return CandidateSet((), (), note="zero column")
+        return CandidateSet(*no_rows, note="zero column")
 
     has_marker = False
     direction_blocks: list[np.ndarray] = []
-    guess_blocks: list[np.ndarray] = []
+    code_blocks: list[np.ndarray] = []
     for supports in _support_blocks(n, ones):
         X = np.zeros((supports.shape[0], n))
         X[np.arange(supports.shape[0])[:, None], supports] = 1.0
         fixed, solved, directions = _solve_rows(X, y, ones)
         has_marker = has_marker or fixed
-        if solved.size:
-            direction_blocks.append(directions)
-            guess_blocks.append(X[solved])
-
-    if not direction_blocks:
-        return CandidateSet((), (), has_marker)
-    directions = np.vstack(direction_blocks)
-    guesses = np.vstack(guess_blocks)
-    keep = _dedupe_rows(directions, MATCH_ATOL)
-    return CandidateSet(
-        tuple(Reflector(directions[i]) for i in keep),
-        tuple(tuple(int(b) for b in guesses[i]) for i in keep),
-        has_marker,
-    )
+        direction_blocks.append(directions)
+        code_blocks.append(X[solved].astype(np.int8))
+    return CandidateSet(np.vstack(direction_blocks), np.vstack(code_blocks), has_marker)
 
 
 @dataclass(frozen=True)
@@ -306,7 +288,7 @@ def recover(Y, cap: int = ENUMERATION_CAP) -> RecoveryResult:
             "ambiguous: fewer than two informative columns in the data"
         )
 
-    matches = np.flatnonzero(_match_mask(set_a.directions(), Y[:, index_b]))
+    matches = np.flatnonzero(_match_mask(set_a.directions, Y[:, index_b]))
     if len(matches) == 0:
         raise NoCommonCandidateError(
             f"no common candidate between columns {index_a} and {index_b}"
@@ -315,7 +297,7 @@ def recover(Y, cap: int = ENUMERATION_CAP) -> RecoveryResult:
         raise AmbiguousRecoveryError(
             f"ambiguous: columns {index_a} and {index_b} share {len(matches)} candidates"
         )
-    u = set_a.candidates[int(matches[0])]
+    u = Reflector(set_a.directions[matches[0]])
 
     decoded = Y - 2.0 * np.outer(u.u, u.u @ Y)  # H is its own inverse
     if not _is_binary(decoded):

@@ -194,6 +194,15 @@ def test_bound_command_eigensolves_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_bound_command_out_of_range_writes_no_rows(tmp_path, capsys):
+    matrix_path = tmp_path / "swap.mat"
+    fileio.save_matrix(matrix_path, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert main(["bound", str(matrix_path), "--m-range", "0:4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m must be in [0, 2], got 3" in captured.err
+
+
 def test_apply_empty_product_echoes_vectors(tmp_path, capsys):
     factors_path = tmp_path / "id.hprod"
     fileio.save_product(factors_path, HouseholderProduct(3))

@@ -94,6 +94,19 @@ def test_solve_column_shape_mismatch():
         solve_column(np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize(
+    "y, x",
+    [
+        ([np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([1.0, 0.0, 0.0], [np.inf, 0.0, 0.0]),
+        ([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ],
+)
+def test_solve_column_rejects_non_finite(y, x):
+    with pytest.raises(ValueError, match="non-finite entries"):
+        solve_column(np.array(y), np.array(x))
+
+
 def test_solve_column_solution_maps_guess_to_column():
     rng = np.random.default_rng(30)
     for _ in range(20):
@@ -402,6 +415,66 @@ def test_recover_agrees_with_two_set_oracle():
     # every verdict class is exercised, so agreement is not vacuous
     assert set(verdicts) == {"unique", "AmbiguousRecoveryError", "NoCommonCandidateError"}
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def slice_solutions(y):
+    """Guesses of the binomial slice that scalar solve_column solves, in support order."""
+    n = y.shape[0]
+    ones = int(round(float(y @ y)))
+    if not 0 <= ones <= n:
+        return []
+    solved = []
+    for support in itertools.combinations(range(n), ones):
+        x = np.zeros(n)
+        x[list(support)] = 1.0
+        if isinstance(solve_column(y, x), Reflector):
+            solved.append(tuple(int(b) for b in x))
+    return solved
+
+
+def test_enumeration_keeps_every_solved_guess_without_duplicates():
+    rng = np.random.default_rng(38)
+    for index in range(130):
+        kind = SWEEP_KINDS[index % len(SWEEP_KINDS)]
+        Y = sweep_instance(rng, kind, int(rng.integers(2, 11)))
+        for y in Y.T:
+            candidate_set = enumerate_candidates(y)
+            assert candidate_set.guesses == tuple(slice_solutions(y)), (index, kind)
+            # same_reflector(., ., MATCH_ATOL) for every pair at once
+            U = candidate_set.directions
+            apart = np.minimum(
+                np.linalg.norm(U[:, None] - U[None], axis=2),
+                np.linalg.norm(U[:, None] + U[None], axis=2),
+            )
+            np.testing.assert_array_equal(apart <= MATCH_ATOL, np.eye(len(U), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "y, note",
+    [(np.zeros(5), "zero column"), (np.full(4, 0.61237243569579447), "inconsistent")],
+)
+def test_enumerate_empty_sets_keep_their_width(y, note):
+    candidate_set = enumerate_candidates(y)
+    assert note in candidate_set.note
+    assert candidate_set.directions.shape == (0, y.shape[0])
+    assert candidate_set.codes.shape == (0, y.shape[0])
+    assert candidate_set.candidates == () and candidate_set.guesses == ()
+
+
+def test_candidate_arrays_are_read_only_and_match_the_tuples(worked_Y):
+    for y in (worked_Y[:, 0], np.zeros(3)):
+        candidate_set = enumerate_candidates(y)
+        assert candidate_set.codes.dtype == np.int8
+        for array in (candidate_set.directions, candidate_set.codes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+    candidate_set = enumerate_candidates(worked_Y[:, 0])
+    for i, (candidate, guess) in enumerate(
+        zip(candidate_set.candidates, candidate_set.guesses)
+    ):
+        np.testing.assert_array_equal(candidate.u, candidate_set.directions[i])
+        assert guess == tuple(candidate_set.codes[i])
 
 
 def count_enumerations(monkeypatch):
