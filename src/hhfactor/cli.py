@@ -9,6 +9,7 @@ All output is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -139,8 +140,6 @@ def cmd_bound(args) -> int:
 def cmd_apply(args) -> int:
     product = fileio.load_product(args.factors)
     vectors = fileio.load_matrix(args.input)
-    if not np.isfinite(vectors).all():
-        raise ValueError("vector file has non-finite entries")
     if vectors.shape[0] != product.n:
         raise ValueError(
             f"vector file has {vectors.shape[0]} rows, product expects {product.n}"
@@ -256,8 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parse_args leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -8,11 +8,16 @@ smallest possible for exact members.
 
 Only the moving subspace, the orthogonal complement of ker(V - I), ever
 changes: it is invariant under V and under every greedy step. One n-by-n
-eigensolve at entry finds it, and every step after that works on the p-by-p
-compression C = Q^T V Q, p = n - dim ker(V - I). For orthogonal W,
-(W - I)^T (W - I) = 2(I - sym W), so the singular values of W - I are
-sqrt(2(1 - mu)) over the eigenvalues mu of sym W: each step's single
-eigensolve gives both its reflector and the fixed-subspace dimension.
+eigensolve at entry finds it and gives the p-by-p compression C = Q^T V Q,
+p = n - dim ker(V - I). One real Schur factorization C = Z T Z^T follows.
+An orthogonal matrix is normal, so T is block diagonal up to roundoff, with
+1-by-1 blocks (+-1) and 2-by-2 rotation blocks (Golub & Van Loan, Matrix
+Computations, 7.4). The symmetric part of T is then block diagonal too, and
+every greedy step reduces to one block: its bottom eigenvector is the
+reflector, and reflecting that block's rows of T keeps the block structure.
+For orthogonal W, (W - I)^T (W - I) = 2(I - sym W), so the singular values
+of W - I are sqrt(2(1 - mu)) over the eigenvalues mu of sym W: the blocks'
+eigenvalues give the fixed-subspace dimension as well.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 from .core import (
     RANK_TOL_RTOL,
@@ -72,11 +78,12 @@ class DecompositionTrace:
 
 
 def _peel(working: np.ndarray, spectrum: SymmetricSpectrum) -> tuple[float, np.ndarray]:
-    """Reflect working in place by its nearest reflection I - 2aa^T.
+    """Reflect the rows of working in place by the reflection I - 2aa^T.
 
-    spectrum is that of sym(working); a is its bottom eigenvector. Returns
-    lambda_min and a. Afterwards ||I - working||_F is the distance between the
-    old working matrix and the reflection.
+    spectrum is that of sym(working), or of the symmetric part of the leading
+    square block when working holds the rows of one diagonal block; a is its
+    bottom eigenvector. Returns lambda_min and a. Afterwards ||I - working||_F
+    is the distance between the old working matrix and the reflection.
     """
     a = spectrum.eigenvectors[:, 0]
     working -= 2.0 * np.outer(a, a @ working)
@@ -97,10 +104,9 @@ def _moving_subspace(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
     """Compress M onto its moving subspace, when that drops less than eps/2.
 
     Q holds the eigenvectors of sym(M) whose 1 - mu lies above the roundoff
-    floor. Returns (Q, C, spectrum of sym(C), rest) with C = Q^T M Q and
-    rest = ||(M - I) - Q (C - I) Q^T||_F; sym(C) is diagonal in that basis.
-    Q is None, C a copy of M and rest 0 when nothing is dropped or the
-    dropped part is too large.
+    floor. Returns (Q, C, rest) with C = Q^T M Q and
+    rest = ||(M - I) - Q (C - I) Q^T||_F. Q is None, C is M and rest 0 when
+    nothing is dropped or the dropped part is too large.
     """
     n = M.shape[0]
     floor = RADICAND_NOISE * n * np.finfo(float).eps
@@ -110,8 +116,28 @@ def _moving_subspace(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
         C = Q.T @ M @ Q
         rest = float(np.linalg.norm((M - np.eye(n)) - Q @ (C - np.eye(p)) @ Q.T, "fro"))
         if rest <= eps / 2.0:
-            return Q, C, SymmetricSpectrum(spectrum.eigenvalues[:p], np.eye(p)), rest
-    return None, M.copy(), spectrum, 0.0
+            return Q, C, rest
+    return None, M, 0.0
+
+
+def _schur_blocks(T: np.ndarray) -> list[slice]:
+    """The 1-by-1 and 2-by-2 diagonal blocks of a real Schur form, in order.
+
+    LAPACK leaves a subdiagonal entry exactly zero wherever a block ends.
+    """
+    blocks = []
+    start = 0
+    while start < T.shape[0]:
+        stop = start + (2 if start + 1 < T.shape[0] and T[start + 1, start] != 0.0 else 1)
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
+
+
+def _block_spectrum(T: np.ndarray, block: slice) -> SymmetricSpectrum:
+    """Spectrum of the symmetric part of one diagonal block of T (at most 2-by-2)."""
+    square = T[block, block]
+    return SymmetricSpectrum(*np.linalg.eigh((square + square.T) / 2.0))
 
 
 def nearest_reflector(V) -> tuple[Reflector, float]:
@@ -148,15 +174,19 @@ def greedy_decompose(
     exact-recovery scale (<= 1e-6), the run converges with exactly p factors,
     and p is minimal; min_factors provides the independent count.
 
-    One n-by-n eigensolve of sym(V) yields the moving subspace Q, C = Q^T V Q
-    and the first step; each later step costs one p-by-p eigensolve of the
-    working matrix C_w. Because the product is orthogonal,
-    ||product - V||_F = ||I - W||_F for the n-dimensional working matrix W,
-    and that equals sqrt(||I - C_w||_F^2 + rest^2), rest being the part of
-    V - I outside the compression. Trace rows stay in n dimensions:
-    trace = (tr V - tr C) + tr C_w and dim_e1 = (n - p) + the count of
-    sym(C_w)'s eigenvalues whose sqrt(2(1 - mu)) is under the rank tolerance.
-    When the dropped part exceeds eps/2, or nothing is dropped, Q = I.
+    One n-by-n eigensolve of sym(V) yields the moving subspace Q and
+    C = Q^T V Q, and one real Schur factorization C = Z T Z^T follows. The
+    greedy runs on T, whose symmetric part is block diagonal with blocks of
+    size at most 2: each step picks the block with the smallest bottom
+    eigenvalue, reflects that block's rows of T, and lifts the block's bottom
+    eigenvector a to the n-dimensional factor (QZ)[:, block] a. Because the
+    product is orthogonal, ||product - V||_F = ||I - W||_F for the working
+    matrix W, and that equals sqrt(||I - T_w||_F^2 + rest^2), rest being the
+    part of V - I outside the compression; a step updates the squared norms
+    of its block's rows of I - T_w only. Trace rows stay in n dimensions:
+    trace = (tr V - tr T) + tr T_w and dim_e1 = (n - p) + the count of block
+    eigenvalues mu whose sqrt(2(1 - mu)) is under the rank tolerance. When
+    the dropped part exceeds eps/2, or nothing is dropped, Q = I.
     """
     M = check_orthogonal(V)
     n = M.shape[0]
@@ -168,23 +198,36 @@ def greedy_decompose(
         raise ValueError("eps must be positive")
     cap = min(max_m, n)
 
-    spectrum = symmetric_eigendecomposition(symmetric_part(M))
-    basis, working, spectrum, rest = _moving_subspace(M, spectrum, eps)
-    identity = np.eye(working.shape[0])
-    dropped_trace = float(np.trace(M) - np.trace(working))
+    basis, C, rest = _moving_subspace(M, symmetric_eigendecomposition(symmetric_part(M)), eps)
+    T, Z = schur(C, output="real")
+    lift = Z if basis is None else basis @ Z
+    identity = np.eye(T.shape[0])
+    blocks = _schur_blocks(T)
+    spectra = [_block_spectrum(T, block) for block in blocks]
+    eigenvalues = np.empty(T.shape[0])  # of sym(T), block by block
+    owner = np.empty(T.shape[0], dtype=int)  # the block each row belongs to
+    for k, block in enumerate(blocks):
+        eigenvalues[block] = spectra[k].eigenvalues
+        owner[block] = k
+    row_norms = np.sum((identity - T) ** 2, axis=1)  # squared, per row of I - T
+    dropped_trace = float(np.trace(M) - np.trace(T))
     factors: list[Reflector] = []
     rows: list[TraceRow] = []
-    residual = float(np.hypot(np.linalg.norm(identity - working, "fro"), rest))
+    residual = float(np.hypot(np.sqrt(row_norms.sum()), rest))
     while True:
-        working_trace = dropped_trace + float(np.trace(working))
-        dim_e1 = n - _moving_rank(spectrum.eigenvalues, n)
+        working_trace = dropped_trace + float(np.trace(T))
+        dim_e1 = n - _moving_rank(eigenvalues, n)
         if residual <= eps or len(factors) >= cap:
             break
-        lambda_min, a = _peel(working, spectrum)
-        factors.append(Reflector(a if basis is None else basis @ a))
-        residual = float(np.hypot(np.linalg.norm(identity - working, "fro"), rest))
+        k = owner[np.argmin(eigenvalues)]
+        block = blocks[k]
+        lambda_min, a = _peel(T[block], spectra[k])
+        factors.append(Reflector(lift[:, block] @ a))
+        row_norms[block] = np.sum((identity[block] - T[block]) ** 2, axis=1)
+        residual = float(np.hypot(np.sqrt(row_norms.sum()), rest))
         rows.append(TraceRow(len(factors) - 1, residual, lambda_min, working_trace, dim_e1))
-        spectrum = symmetric_eigendecomposition(symmetric_part(working))
+        spectra[k] = _block_spectrum(T, block)
+        eigenvalues[block] = spectra[k].eigenvalues
 
     if residual <= eps:
         termination = "converged"

@@ -31,9 +31,9 @@ def format_matrix(M: np.ndarray) -> str:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
+    row_format = " ".join([FLOAT_FMT] * M.shape[1])  # one format call per row
     lines = [f"{M.shape[0]} {M.shape[1]}"]
-    for row in M:
-        lines.append(" ".join(FLOAT_FMT % value for value in row))
+    lines.extend(row_format % tuple(row.tolist()) for row in M)
     return "\n".join(lines) + "\n"
 
 
@@ -42,6 +42,7 @@ def save_matrix(path, M: np.ndarray) -> None:
 
 
 def parse_matrix(text: str) -> np.ndarray:
+    """Read a matrix file's text; a wrong shape or a non-finite entry raises ValueError."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty matrix file")
@@ -57,6 +58,8 @@ def parse_matrix(text: str) -> np.ndarray:
         if len(values) != cols:
             raise ValueError(f"row {i} has {len(values)} entries, expected {cols}")
         M[i] = [float(v) for v in values]
+    if not np.isfinite(M).all():  # "nan", "inf" and overflowing literals such as 1e999
+        raise ValueError("matrix file has non-finite entries")
     return M
 
 
@@ -65,9 +68,9 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_product(path, product: HouseholderProduct) -> None:
+    row_format = " ".join([FLOAT_FMT] * product.n)
     lines = [f"{PRODUCT_MAGIC} {product.n} {product.m}"]
-    for factor in product.factors:
-        lines.append(" ".join(FLOAT_FMT % value for value in factor.u))
+    lines.extend(row_format % tuple(factor.u.tolist()) for factor in product.factors)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

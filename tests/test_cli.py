@@ -10,7 +10,7 @@ from hhfactor import (
     residual_upper_bound,
     synthesize,
 )
-from hhfactor import fileio
+from hhfactor import cli, fileio
 from hhfactor.cli import main
 
 U_TRUE = np.array([2 / 3, 1 / 3, 2 / 3])
@@ -112,7 +112,7 @@ def test_decompose_rejects_non_finite_entries(tmp_path, capsys, bad):
     matrix_path = tmp_path / "bad.mat"
     matrix_path.write_text(f"3 3\n1 0 0\n0 1 {bad}\n0 0 1\n")
     assert main(["decompose", str(matrix_path)]) == 1
-    assert "not orthogonal" in capsys.readouterr().err
+    assert "non-finite entries" in capsys.readouterr().err
 
 
 def test_decompose_missing_file_is_invalid(capsys):
@@ -250,6 +250,17 @@ def test_apply_rejects_non_finite_vectors(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_apply_rejects_overflowing_vectors(tmp_path, capsys):
+    factors_path = tmp_path / "p.hprod"
+    fileio.save_product(factors_path, HouseholderProduct(3, (make_reflector(U_TRUE),)))
+    vector_path = tmp_path / "x.mat"
+    vector_path.write_text("3 1\n1\n1e999\n0\n")
+    assert main(["apply", str(factors_path), str(vector_path)]) == 1
+    captured = capsys.readouterr()
+    assert "non-finite entries" in captured.err
+    assert captured.out == ""
+
+
 def test_recover_worked_example(tmp_path, capsys):
     H = np.eye(3) - 2.0 * np.outer(U_TRUE, U_TRUE)
     Y = H @ np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -330,3 +341,21 @@ def test_bench_command_runs_on_small_sizes(capsys):
     out = capsys.readouterr().out
     assert "dense multiply" in out
     assert code in (0, 1)  # tiny sizes may sit outside the linear window
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    matrix_path = tmp_path / "v.mat"
+    write_worked_matrix(matrix_path)
+    assert main(["decompose", str(matrix_path)]) == 0
+
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert main(["decompose", str(matrix_path)]) == 0
+    assert main(["bound", str(matrix_path), "--m-range", "0:1"]) == 0
+    capsys.readouterr()
+
+
+def test_build_parser_is_not_cached():
+    assert cli.build_parser() is not cli.build_parser()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from hhfactor import HouseholderProduct, greedy_decompose, make_reflector, materialize
+from hhfactor import HouseholderProduct, Reflector, greedy_decompose, make_reflector, materialize
 from hhfactor import fileio
 
 
@@ -32,6 +35,78 @@ def test_matrix_parse_errors():
         fileio.parse_matrix("2 2\n1 2\n")
     with pytest.raises(ValueError, match="entries"):
         fileio.parse_matrix("1 3\n1 2\n")
+
+
+@pytest.mark.parametrize("entry", ["nan", "NaN", "inf", "-inf", "1e999", "-1e999"])
+def test_matrix_parse_rejects_non_finite_entries(entry):
+    with pytest.raises(ValueError, match="non-finite entries"):
+        fileio.parse_matrix(f"1 3\n1 {entry} 0\n")
+
+
+def test_matrix_parse_shapes():
+    np.testing.assert_array_equal(fileio.parse_matrix("1 1\n-2.5\n"), [[-2.5]])
+    with pytest.raises(ValueError, match="empty"):
+        fileio.parse_matrix("\n  \n")
+    with pytest.raises(ValueError, match="expected 3 matrix rows, found 2"):
+        fileio.parse_matrix("3 2\n1 2\n3 4\n")
+    with pytest.raises(ValueError, match="expected 1 matrix rows, found 2"):
+        fileio.parse_matrix("1 2\n1 2\n3 4\n")
+    with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
+        fileio.parse_matrix("2 2\n1 2\n3 4 5\n")
+
+
+def per_value_format(M):
+    """The formatter one value at a time: the reference for the row format."""
+    lines = [f"{M.shape[0]} {M.shape[1]}"]
+    lines.extend(" ".join(fileio.FLOAT_FMT % value for value in row) for row in M)
+    return "\n".join(lines) + "\n"
+
+
+def test_format_matrix_matches_per_value_format():
+    tiny = np.finfo(float).tiny
+    M = np.array(
+        [
+            [-0.0, 0.0, 5e-324, tiny / 3, -tiny],
+            [1e308, -1.7976931348623157e308, 3.0, -42.0, 2.0**53],
+            [0.1, 1 / 3, -2.5e-17, 123456789.0, 1e-300],
+        ]
+    )
+    assert fileio.format_matrix(M) == per_value_format(M)
+    assert fileio.format_matrix(M).splitlines()[1].startswith("-0 0 4.9406564584124654e-324")
+    assert fileio.format_matrix(np.array([[7, -3]])) == "1 2\n7 -3\n"
+    assert fileio.format_matrix(np.empty((2, 0))) == per_value_format(np.empty((2, 0)))
+
+
+FINITE_MATRICES = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(FINITE_MATRICES, st.data())
+def test_matrix_text_roundtrip_and_non_finite_rejection(M, data):
+    text = fileio.format_matrix(M)
+    assert text == per_value_format(M)
+    np.testing.assert_array_equal(fileio.parse_matrix(text), M)
+    i = data.draw(st.integers(0, M.shape[0] - 1))
+    j = data.draw(st.integers(0, M.shape[1] - 1))
+    rows = text.splitlines()
+    values = rows[i + 1].split()
+    values[j] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "-2e400"]))
+    rows[i + 1] = " ".join(values)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        fileio.parse_matrix("\n".join(rows))
+
+
+def test_save_product_matches_per_value_format(tmp_path):
+    directions = ([1.0, -0.0, 5e-324, 0.0, 1e-300], [0.6, -0.8, 1e-308, -5e-324, 0.0])
+    product = HouseholderProduct(5, tuple(Reflector(np.array(d)) for d in directions))
+    path = tmp_path / "p.hprod"
+    fileio.save_product(path, product)
+    rows = (" ".join(fileio.FLOAT_FMT % value for value in f.u) for f in product.factors)
+    assert path.read_text() == "HPROD 5 2\n" + "".join(row + "\n" for row in rows)
 
 
 def test_product_roundtrip(tmp_path):
