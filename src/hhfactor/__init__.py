@@ -10,7 +10,6 @@ coefficients.
 """
 
 from .core import (
-    DenseOrthogonal,
     HouseholderProduct,
     Reflector,
     SymmetricSpectrum,
@@ -51,7 +50,6 @@ from .generators import DISTRIBUTIONS, GeneratorSpec, haar_orthogonal, synthesiz
 __version__ = "0.1.0"
 
 __all__ = [
-    "DenseOrthogonal",
     "HouseholderProduct",
     "Reflector",
     "SymmetricSpectrum",

@@ -121,7 +121,7 @@ def materialize(product: HouseholderProduct) -> np.ndarray:
 
 def check_orthogonal(V, tol: float | None = None) -> np.ndarray:
     """Return V as a square ndarray, raising if it is not orthogonal within tol."""
-    M = V.entries if isinstance(V, DenseOrthogonal) else np.asarray(V, dtype=float)
+    M = np.asarray(V, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
@@ -136,26 +136,9 @@ def check_orthogonal(V, tol: float | None = None) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class DenseOrthogonal:
-    """Dense orthogonal matrix, validated on construction."""
-
-    entries: np.ndarray
-    tol: float | None = None
-
-    def __post_init__(self):
-        M = check_orthogonal(np.asarray(self.entries, dtype=float), self.tol).copy()
-        M.setflags(write=False)
-        object.__setattr__(self, "entries", M)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def symmetric_part(V) -> np.ndarray:
     """Elementwise (V + V^T)/2."""
-    M = V.entries if isinstance(V, DenseOrthogonal) else np.asarray(V, dtype=float)
+    M = np.asarray(V, dtype=float)
     return (M + M.T) / 2.0
 
 

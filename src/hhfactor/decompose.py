@@ -18,11 +18,22 @@ reflector, and reflecting that block's rows of T keeps the block structure.
 For orthogonal W, (W - I)^T (W - I) = 2(I - sym W), so the singular values
 of W - I are sqrt(2(1 - mu)) over the eigenvalues mu of sym W: the blocks'
 eigenvalues give the fixed-subspace dimension as well.
+
+Blocks never interact, so a block's states after one, two, ... steps on it
+do not depend on what happened to the other blocks. The greedy therefore
+runs in rounds: round r takes the r-th step on every block at once, with
+one stacked eigensolve of the blocks' symmetric parts, and records what
+each block contributes to the residual, the trace and the fixed-subspace
+dimension. Only the order in which blocks are taken stays sequential, and
+it needs nothing but those recorded scalars.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import schur
@@ -77,27 +88,28 @@ class DecompositionTrace:
     termination: str
 
 
-def _peel(working: np.ndarray, spectrum: SymmetricSpectrum) -> tuple[float, np.ndarray]:
-    """Reflect the rows of working in place by the reflection I - 2aa^T.
+def _peel(rows: np.ndarray, directions: np.ndarray) -> None:
+    """Reflect a stack of row blocks in place: rows[i] <- (I - 2 a_i a_i^T) rows[i].
 
-    spectrum is that of sym(working), or of the symmetric part of the leading
-    square block when working holds the rows of one diagonal block; a is its
-    bottom eigenvector. Returns lambda_min and a. Afterwards ||I - working||_F
-    is the distance between the old working matrix and the reflection.
+    rows is (k, b, p) and directions is (k, b), one unit a_i per entry. With
+    rows[i] a whole working matrix and a_i the bottom eigenvector of its
+    symmetric part, this is one greedy step, and ||I - rows[i]||_F afterwards
+    is the distance between the old working matrix and the reflection. The
+    greedy passes the rows of its Schur blocks, each with the bottom
+    eigenvector of its own block's symmetric part.
     """
-    a = spectrum.eigenvectors[:, 0]
-    working -= 2.0 * np.outer(a, a @ working)
-    return float(spectrum.eigenvalues[0]), a
+    rows -= 2.0 * directions[:, :, None] * (directions[:, None, :] @ rows)
 
 
-def _moving_rank(eigenvalues: np.ndarray, n: int) -> int:
+def _moving_rank(eigenvalues: np.ndarray, n: int):
     """Rank of W - I for an orthogonal W, from the eigenvalues of sym(W).
 
     The singular values of W - I are sqrt(2(1 - mu)); those at or below the
-    n-dimensional rank tolerance of _fixed_subspace_dim count as zero.
+    n-dimensional rank tolerance of _fixed_subspace_dim count as zero. The
+    count runs along the last axis, so a (K, 2) stack gives one count per block.
     """
     singular_values = np.sqrt(2.0 * np.clip(1.0 - eigenvalues, 0.0, None))
-    return int(np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n)))
+    return np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n), axis=-1)
 
 
 def _moving_subspace(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
@@ -134,10 +146,64 @@ def _schur_blocks(T: np.ndarray) -> list[slice]:
     return blocks
 
 
-def _block_spectrum(T: np.ndarray, block: slice) -> SymmetricSpectrum:
-    """Spectrum of the symmetric part of one diagonal block of T (at most 2-by-2)."""
-    square = T[block, block]
-    return SymmetricSpectrum(*np.linalg.eigh((square + square.T) / 2.0))
+class _BlockRows(NamedTuple):
+    """The rows of T, and of I, stacked per Schur block as (K, 2, p) arrays.
+
+    A 1-by-1 block's second row is zero in both stacks, so it adds nothing to
+    the block's sums, and a reflection along (1, 0) keeps it zero. columns[k]
+    holds block k's column indices (the one column twice for a 1-by-1 block).
+    """
+
+    rows: np.ndarray
+    identity: np.ndarray
+    columns: np.ndarray
+    pairs: np.ndarray  # which blocks are 2-by-2
+
+    @classmethod
+    def of(cls, T: np.ndarray, blocks: list[slice]) -> _BlockRows:
+        first = np.array([block.start for block in blocks], dtype=int)
+        pairs = np.array([block.stop - block.start == 2 for block in blocks], dtype=bool)
+        rows = np.zeros((len(blocks), 2, T.shape[0]))
+        identity = np.zeros_like(rows)
+        eye = np.eye(T.shape[0])
+        rows[:, 0], identity[:, 0] = T[first], eye[first]
+        rows[pairs, 1], identity[pairs, 1] = T[first[pairs] + 1], eye[first[pairs] + 1]
+        columns = first[:, None] + np.outer(pairs, [0, 1])
+        return cls(rows, identity, columns, pairs)
+
+
+class _Round(NamedTuple):
+    """Every block's state after the same number of greedy steps on it."""
+
+    lambda_min: list[float]  # bottom eigenvalue of the block's symmetric part
+    directions: np.ndarray   # (K, 2): its eigenvector, (1, 0) for a 1-by-1 block
+    row_norms: list[float]   # squared Frobenius norm of the block's rows of I - T
+    diagonals: list[float]   # the block's diagonal sum
+    moving: list[int]        # the block's share of the rank of W - I
+
+
+def _block_round(blocks: _BlockRows, n: int) -> _Round:
+    """Record the current state of every block, with one stacked eigensolve.
+
+    A 1-by-1 block's eigenvalue is its entry; its padded second eigenvalue 1
+    adds nothing to the rank of W - I.
+    """
+    squares = np.take_along_axis(blocks.rows, blocks.columns[:, None, :], axis=2)
+    eigenvalues = np.ones((len(squares), 2))
+    eigenvalues[:, 0] = squares[:, 0, 0]
+    directions = np.zeros((len(squares), 2))
+    directions[:, 0] = 1.0
+    rotations = squares[blocks.pairs]
+    mu, vectors = np.linalg.eigh((rotations + rotations.transpose(0, 2, 1)) / 2.0)
+    eigenvalues[blocks.pairs] = mu
+    directions[blocks.pairs] = vectors[:, :, 0]
+    return _Round(
+        lambda_min=eigenvalues[:, 0].tolist(),
+        directions=directions,
+        row_norms=np.sum((blocks.identity - blocks.rows) ** 2, axis=(1, 2)).tolist(),
+        diagonals=(squares[:, 0, 0] + squares[:, 1, 1]).tolist(),
+        moving=_moving_rank(eigenvalues, n).tolist(),
+    )
 
 
 def nearest_reflector(V) -> tuple[Reflector, float]:
@@ -150,7 +216,8 @@ def nearest_reflector(V) -> tuple[Reflector, float]:
     """
     M = check_orthogonal(V)
     working = M.copy()
-    _, u = _peel(working, symmetric_eigendecomposition(symmetric_part(M)))
+    u = symmetric_eigendecomposition(symmetric_part(M)).eigenvectors[:, 0]
+    _peel(working[None], u[None])
     return Reflector(u), float(np.linalg.norm(working - np.eye(M.shape[0]), "fro"))
 
 
@@ -177,16 +244,23 @@ def greedy_decompose(
     One n-by-n eigensolve of sym(V) yields the moving subspace Q and
     C = Q^T V Q, and one real Schur factorization C = Z T Z^T follows. The
     greedy runs on T, whose symmetric part is block diagonal with blocks of
-    size at most 2: each step picks the block with the smallest bottom
-    eigenvalue, reflects that block's rows of T, and lifts the block's bottom
-    eigenvector a to the n-dimensional factor (QZ)[:, block] a. Because the
-    product is orthogonal, ||product - V||_F = ||I - W||_F for the working
-    matrix W, and that equals sqrt(||I - T_w||_F^2 + rest^2), rest being the
-    part of V - I outside the compression; a step updates the squared norms
-    of its block's rows of I - T_w only. Trace rows stay in n dimensions:
-    trace = (tr V - tr T) + tr T_w and dim_e1 = (n - p) + the count of block
-    eigenvalues mu whose sqrt(2(1 - mu)) is under the rank tolerance. When
-    the dropped part exceeds eps/2, or nothing is dropped, Q = I.
+    size at most 2; a step on a block reflects that block's rows of T by its
+    bottom eigenvector a and lifts a to the n-dimensional factor
+    (QZ)[:, block] a. A step touches only its block, so the steps are taken
+    in rounds: round r reflects every block for the r-th time, with one
+    stacked eigensolve and one stacked reflection, and records per block the
+    bottom eigenvalue, the squared norm of its rows of I - T_w, its diagonal
+    sum and its count of singular values of W - I above the rank tolerance.
+    A scalar loop then takes the block with the smallest bottom eigenvalue,
+    ties going to the first block, and builds each trace row from the
+    recorded sums: the residual is sqrt(sum of row norms + rest^2), rest
+    being the part of V - I outside the compression, because the product is
+    orthogonal and ||product - V||_F = ||I - W||_F; trace = (tr V - tr T)
+    + the diagonal sums, and dim_e1 = n - the counts. A round is computed
+    only when the loop first needs it: rounds 1 and 2 clear every block,
+    and a third runs only when eps lies below what roundoff lets the
+    residual reach. The factors are lifted with one product QZ A. When the
+    dropped part exceeds eps/2, or nothing is dropped, Q = I.
     """
     M = check_orthogonal(V)
     n = M.shape[0]
@@ -201,33 +275,45 @@ def greedy_decompose(
     basis, C, rest = _moving_subspace(M, symmetric_eigendecomposition(symmetric_part(M)), eps)
     T, Z = schur(C, output="real")
     lift = Z if basis is None else basis @ Z
-    identity = np.eye(T.shape[0])
-    blocks = _schur_blocks(T)
-    spectra = [_block_spectrum(T, block) for block in blocks]
-    eigenvalues = np.empty(T.shape[0])  # of sym(T), block by block
-    owner = np.empty(T.shape[0], dtype=int)  # the block each row belongs to
-    for k, block in enumerate(blocks):
-        eigenvalues[block] = spectra[k].eigenvalues
-        owner[block] = k
-    row_norms = np.sum((identity - T) ** 2, axis=1)  # squared, per row of I - T
+    blocks = _BlockRows.of(T, _schur_blocks(T))
+    rounds = [_block_round(blocks, n)]
+    # each block's current state: its round, and that round's sums
+    level = [0] * len(rounds[0].lambda_min)
+    row_norms = list(rounds[0].row_norms)
+    diagonals = list(rounds[0].diagonals)
+    moving = sum(rounds[0].moving)
+    queue = [(lam, k) for k, lam in enumerate(rounds[0].lambda_min)]
+    heapq.heapify(queue)
     dropped_trace = float(np.trace(M) - np.trace(T))
-    factors: list[Reflector] = []
+    taken: list[tuple[int, int]] = []  # (block, round before the step), per factor
     rows: list[TraceRow] = []
-    residual = float(np.hypot(np.sqrt(row_norms.sum()), rest))
+    residual = math.hypot(math.sqrt(math.fsum(row_norms)), rest)
     while True:
-        working_trace = dropped_trace + float(np.trace(T))
-        dim_e1 = n - _moving_rank(eigenvalues, n)
-        if residual <= eps or len(factors) >= cap:
+        working_trace = dropped_trace + math.fsum(diagonals)
+        dim_e1 = n - moving
+        if residual <= eps or len(taken) >= cap:
             break
-        k = owner[np.argmin(eigenvalues)]
-        block = blocks[k]
-        lambda_min, a = _peel(T[block], spectra[k])
-        factors.append(Reflector(lift[:, block] @ a))
-        row_norms[block] = np.sum((identity[block] - T[block]) ** 2, axis=1)
-        residual = float(np.hypot(np.sqrt(row_norms.sum()), rest))
-        rows.append(TraceRow(len(factors) - 1, residual, lambda_min, working_trace, dim_e1))
-        spectra[k] = _block_spectrum(T, block)
-        eigenvalues[block] = spectra[k].eigenvalues
+        lambda_min, k = heapq.heappop(queue)
+        r = level[k]
+        if r + 1 == len(rounds):
+            _peel(blocks.rows, rounds[r].directions)
+            rounds.append(_block_round(blocks, n))
+        after = rounds[r + 1]
+        level[k] = r + 1
+        row_norms[k] = after.row_norms[k]
+        diagonals[k] = after.diagonals[k]
+        moving += after.moving[k] - rounds[r].moving[k]
+        residual = math.hypot(math.sqrt(math.fsum(row_norms)), rest)
+        rows.append(TraceRow(len(taken), residual, lambda_min, working_trace, dim_e1))
+        taken.append((k, r))
+        heapq.heappush(queue, (after.lambda_min[k], k))
+
+    # row j of embedded is factor j's direction in the coordinates of T
+    block_of, round_of = np.array(taken, dtype=int).reshape(-1, 2).T
+    directions = np.stack([state.directions for state in rounds])[round_of, block_of]
+    embedded = np.zeros((len(taken), T.shape[0]))
+    np.add.at(embedded, (np.arange(len(taken))[:, None], blocks.columns[block_of]), directions)
+    factors = tuple(Reflector(u) for u in embedded @ lift.T)
 
     if residual <= eps:
         termination = "converged"
@@ -243,7 +329,7 @@ def greedy_decompose(
         final_dim_e1=dim_e1,
         termination=termination,
     )
-    return HouseholderProduct(n, tuple(factors)), trace
+    return HouseholderProduct(n, factors), trace
 
 
 def symmetric_decompose(V) -> HouseholderProduct:

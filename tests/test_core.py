@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hhfactor import (
-    DenseOrthogonal,
     HouseholderProduct,
     Reflector,
     apply,
@@ -323,29 +322,12 @@ def test_check_orthogonal_rejects_non_square():
         check_orthogonal(np.ones((2, 3)))
 
 
-def test_dense_orthogonal_validates_and_freezes():
-    V = DenseOrthogonal(np.eye(3))
-    assert V.n == 3
-    with pytest.raises(ValueError):
-        V.entries[0, 0] = 2.0
-    with pytest.raises(ValueError, match="not orthogonal"):
-        DenseOrthogonal(np.full((3, 3), 0.5))
-
-
-def test_dense_orthogonal_accepts_wider_tolerance():
+def test_check_orthogonal_accepts_wider_tolerance():
     V = np.eye(3)
     V[0, 0] = 1.0 + 1e-6
-    with pytest.raises(ValueError):
-        DenseOrthogonal(V)
-    assert DenseOrthogonal(V, tol=1e-3).n == 3
-
-
-def test_operations_accept_wrapped_matrices(reflection_3x3):
-    wrapped = DenseOrthogonal(reflection_3x3)
-    assert eigenspace_one_dimension(wrapped) == 2
-    np.testing.assert_array_equal(
-        symmetric_part(wrapped), symmetric_part(reflection_3x3)
-    )
+    with pytest.raises(ValueError, match="not orthogonal"):
+        check_orthogonal(V)
+    np.testing.assert_array_equal(check_orthogonal(V, tol=1e-3), V)
 
 
 def test_product_rejects_mismatched_factor_dimension():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
 from hhfactor import (
     DISTRIBUTIONS,
@@ -16,6 +17,7 @@ from hhfactor import (
     nearest_reflector,
     qr_baseline,
     residual_upper_bound,
+    same_reflector,
     symmetric_decompose,
     symmetric_eigendecomposition,
     symmetric_part,
@@ -359,6 +361,172 @@ def test_greedy_resolves_tiny_angles(case):
     np.testing.assert_allclose(got[-1][1:], expected[-1][1:], rtol=0, atol=1e-8)
 
 
+# ------------------------------------- per-step block loop as an oracle
+
+
+def sequential_block_reference(V, max_m, eps):
+    """The greedy on the Schur blocks one step at a time, kept as an oracle.
+
+    Same entry eigensolve, compression and real Schur form as
+    greedy_decompose, but every step takes the block by argmin over all
+    blocks' eigenvalues, eigensolves that block alone, reflects its rows of
+    T, refreshes its squared row norms and sums the residual over all rows.
+    Returns the rows as (residual, lambda_min, trace, dim_e1) tuples, the
+    product, the final residual, trace and dim_e1, and the termination.
+    """
+    n = V.shape[0]
+    spectrum = symmetric_eigendecomposition(symmetric_part(V))
+    basis, C, rest = decompose._moving_subspace(V, spectrum, eps)
+    T, Z = schur(C, output="real")
+    lift = Z if basis is None else basis @ Z
+    identity = np.eye(T.shape[0])
+    blocks = decompose._schur_blocks(T)
+
+    def block_spectrum(block):
+        square = T[block, block]
+        return np.linalg.eigh((square + square.T) / 2.0)
+
+    spectra = [block_spectrum(block) for block in blocks]
+    eigenvalues = np.empty(T.shape[0])
+    owner = np.empty(T.shape[0], dtype=int)
+    for k, block in enumerate(blocks):
+        eigenvalues[block] = spectra[k][0]
+        owner[block] = k
+    row_norms = np.sum((identity - T) ** 2, axis=1)
+    dropped_trace = float(np.trace(V) - np.trace(T))
+    factors, rows = [], []
+    residual = float(np.hypot(np.sqrt(row_norms.sum()), rest))
+    while True:
+        working_trace = dropped_trace + float(np.trace(T))
+        dim_e1 = n - int(_moving_rank(eigenvalues, n))
+        if residual <= eps or len(factors) >= min(max_m, n):
+            break
+        k = owner[np.argmin(eigenvalues)]
+        block = blocks[k]
+        lambda_min, a = float(spectra[k][0][0]), spectra[k][1][:, 0]
+        T[block] -= 2.0 * np.outer(a, a @ T[block])
+        factors.append(Reflector(lift[:, block] @ a))
+        row_norms[block] = np.sum((identity[block] - T[block]) ** 2, axis=1)
+        residual = float(np.hypot(np.sqrt(row_norms.sum()), rest))
+        rows.append((residual, lambda_min, working_trace, dim_e1))
+        spectra[k] = block_spectrum(block)
+        eigenvalues[block] = spectra[k][0]
+    if residual <= eps:
+        termination = "converged"
+    elif max_m < n:
+        termination = "m_cap"
+    else:
+        termination = "n_cap"
+    final = (residual, working_trace, dim_e1)
+    return rows, HouseholderProduct(n, tuple(factors)), final, termination
+
+
+def assert_same_factors_up_to_commuting_order(got, expected, tol=1e-8):
+    """The same reflections up to sign, reordered only where they commute.
+
+    Each factor of got is matched to the first unmatched equal factor of
+    expected. Two factors whose order differs must have orthogonal
+    directions, so that swapping them leaves the product unchanged.
+    """
+    assert len(got) == len(expected)
+    unmatched = list(range(len(expected)))
+    position = []
+    for f in got:
+        j = next(j for j in unmatched if same_reflector(f, expected[j], tol))
+        unmatched.remove(j)
+        position.append(j)
+    for i in range(len(got)):
+        for k in range(i + 1, len(got)):
+            if position[i] > position[k]:
+                assert abs(got[i].u @ got[k].u) <= tol
+
+
+def symmetric_orthogonal(rng, n, negatives):
+    Q = haar_orthogonal(rng, n)
+    return (Q * np.repeat([-1.0, 1.0], [negatives, n - negatives])) @ Q.T
+
+
+def sequential_instances():
+    """Seeded (label, V, budgets, eps values) for the block-loop oracle.
+
+    The odd budgets under p stop halfway through clearing a rotation block;
+    eps = 1e-14 on Haar inputs lies below roundoff, so blocks are stepped a
+    third time.
+    """
+    loose = (0.05, 1e-6, 1e-10)
+    cases = []
+    for dist in DISTRIBUTIONS:
+        for n, m in ((16, 16), (21, 21), (24, 7)):
+            for seed in range(2):
+                V, _ = synthesize(GeneratorSpec(dist, n=n, m=m, seed=500 + 10 * n + seed))
+                cases.append((f"{dist}-n{n}-m{m}-s{seed}", V, (n, 3, m // 2 | 1), loose))
+    cases.append(("negated-identity", -np.eye(11), (11, 5), loose))
+    cases.append(("identity", np.eye(9), (9,), loose))
+    rng = np.random.default_rng(45)
+    for negatives in (3, 7):
+        cases.append((f"symmetric-{negatives}-of-16", symmetric_orthogonal(rng, 16, negatives), (16, 1), loose))
+    for label, V, max_m in CLUSTERED_INSTANCES:
+        cases.append((label, V, (max_m, 5), loose))
+    for label, V, planted in TINY_ANGLE_INSTANCES:
+        cases.append((label, V, (24, planted - 2), loose))
+    for n in (16, 32):
+        for det in (1.0, -1.0):
+            V = haar_orthogonal(rng, n)
+            if np.linalg.det(V) * det < 0:
+                V[:, 0] = -V[:, 0]
+            cases.append((f"haar-n{n}-det{det:+.0f}", V, (n, 7), (1e-6, 1e-14)))
+    return cases
+
+
+SEQUENTIAL_INSTANCES = sequential_instances()
+
+
+@pytest.mark.parametrize("case", SEQUENTIAL_INSTANCES, ids=[c[0] for c in SEQUENTIAL_INSTANCES])
+def test_greedy_matches_sequential_block_oracle(case):
+    _, V, budgets, eps_values = case
+    scale = max(1.0, float(np.linalg.norm(np.eye(V.shape[0]) - V, "fro")))
+    for max_m in budgets:
+        for eps in eps_values:
+            product, trace = greedy_decompose(V, max_m=max_m, eps=eps)
+            rows, expected, (residual, working_trace, dim_e1), termination = (
+                sequential_block_reference(V, max_m, eps)
+            )
+            assert (trace.m, trace.termination) == (expected.m, termination), (max_m, eps)
+            assert [row.dim_e1 for row in trace.rows] == [row[3] for row in rows]
+            assert trace.final_dim_e1 == dim_e1
+            got = [(row.residual, row.lambda_min, row.trace) for row in trace.rows]
+            np.testing.assert_allclose(got, [row[:3] for row in rows], rtol=0, atol=1e-8 * scale)
+            np.testing.assert_allclose(
+                [trace.final_residual, trace.final_trace], [residual, working_trace], rtol=0, atol=1e-8 * scale
+            )
+            np.testing.assert_allclose(materialize(product), materialize(expected), rtol=0, atol=1e-9)
+            assert_same_factors_up_to_commuting_order(product.factors, expected.factors)
+
+
+def test_greedy_steps_a_block_a_third_time_only_below_roundoff(monkeypatch):
+    # rounds 1 and 2 clear every block. A det -1 Haar input at n = 32 ends
+    # them at a residual around 1e-14, so at eps = 1e-14 it takes a 32nd
+    # step with lambda_min near 1, which needs a third round
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(A, *args, **kwargs):
+        calls.append(np.shape(A))
+        return eigh(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rounds = {}
+    for eps in (1e-6, 1e-14):
+        calls.clear()
+        V = haar_orthogonal(np.random.default_rng(46), 32)
+        if np.linalg.det(V) > 0:
+            V[:, 0] = -V[:, 0]
+        _, trace = greedy_decompose(V, eps=eps)
+        rounds[eps] = len(calls) - 2  # the entry eigensolve and the blocks' start
+    assert rounds[1e-6] == 2
+    assert rounds[1e-14] == 3 and trace.m == 32 and trace.termination == "n_cap"
+
+
 def test_greedy_borderline_rank_keeps_all_factors():
     # min_factors counts 94, but the product needs all 96 reflections
     V, _ = synthesize(GeneratorSpec("exponential", n=96, m=96, seed=69))
@@ -369,14 +537,12 @@ def test_greedy_borderline_rank_keeps_all_factors():
 
 
 def test_greedy_eigensolves_once_then_factors_one_schur_form(monkeypatch):
-    # one n-by-n eigensolve at entry, one p-by-p real Schur factorization,
-    # after that only the 1-by-1 and 2-by-2 blocks are eigensolved, and no
-    # SVD is taken
-    rng = np.random.default_rng(42)
-    n, p = 64, 6
-    V = materialize(random_product(rng, n, p))
-    sizes, schur_sizes, eigh_sizes = [], [], []
-    solver, schur, eigh = decompose.symmetric_eigendecomposition, decompose.schur, np.linalg.eigh
+    # one n-by-n eigensolve at entry and one p-by-p real Schur factorization;
+    # after that eigh sees only stacks of blocks of at most 2-by-2, one stack
+    # per round, so the number of calls does not grow with p; no SVD is taken
+    n = 64
+    sizes, schur_sizes, eigh_shapes = [], [], []
+    solver, schur_, eigh = decompose.symmetric_eigendecomposition, decompose.schur, np.linalg.eigh
 
     def recording(A):
         sizes.append(A.shape[0])
@@ -384,10 +550,10 @@ def test_greedy_eigensolves_once_then_factors_one_schur_form(monkeypatch):
 
     def recording_schur(A, *args, **kwargs):
         schur_sizes.append(A.shape[0])
-        return schur(A, *args, **kwargs)
+        return schur_(A, *args, **kwargs)
 
     def recording_eigh(A, *args, **kwargs):
-        eigh_sizes.append(A.shape[0])
+        eigh_shapes.append(np.shape(A))
         return eigh(A, *args, **kwargs)
 
     def no_svd(*args, **kwargs):
@@ -397,11 +563,18 @@ def test_greedy_eigensolves_once_then_factors_one_schur_form(monkeypatch):
     monkeypatch.setattr(decompose, "schur", recording_schur)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(decompose, "_fixed_subspace_dim", no_svd)
-    _, trace = greedy_decompose(V, eps=1e-6)
-    assert trace.m == p
-    assert sizes == [n]
-    assert schur_sizes == [p]
-    assert eigh_sizes[0] == n and max(eigh_sizes[1:]) <= 2
+    calls = {}
+    for p in (6, 48):
+        sizes.clear(), schur_sizes.clear(), eigh_shapes.clear()
+        V = materialize(random_product(np.random.default_rng(42 + p), n, p))
+        _, trace = greedy_decompose(V, eps=1e-6)
+        assert trace.m == p
+        assert sizes == [n]
+        assert schur_sizes == [p]
+        assert eigh_shapes[0] == (n, n)
+        assert all(max(shape[-2:]) <= 2 for shape in eigh_shapes[1:]), eigh_shapes
+        calls[p] = len(eigh_shapes)
+    assert calls[6] == calls[48]
 
 
 def test_fixed_dimension_from_symmetric_spectrum_matches_svd():
@@ -432,6 +605,18 @@ def test_trace_row_bookkeeping():
     assert trace.rows[0].trace == pytest.approx(np.trace(V))
     assert trace.rows[-1].residual == trace.final_residual
     assert trace.final_dim_e1 == n
+
+
+@pytest.mark.parametrize("case", TINY_ANGLE_INSTANCES, ids=[c[0] for c in TINY_ANGLE_INSTANCES])
+def test_fixed_dimension_changes_by_exactly_one_per_step(case):
+    # a plane turned by less than the rank tolerance counts as fixed, so its
+    # first step lowers dim_e1 by one and its second raises it back
+    _, V, _ = case
+    for eps in (1e-6, 1e-10):
+        _, trace = greedy_decompose(V, max_m=24, eps=eps)
+        dims = [row.dim_e1 for row in trace.rows] + [trace.final_dim_e1]
+        steps = np.diff(dims)
+        assert set(steps.tolist()) == {-1, 1}, dims
 
 
 @pytest.mark.parametrize("n,m,seed", [(8, 3, 0), (16, 16, 1), (24, 10, 2)])
