@@ -69,6 +69,8 @@ def run_benchmark(
     m_list = tuple(sorted(m_list))
     if len(m_list) < 2:
         raise ValueError("need at least two m values to check scaling")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     _, product = synthesize(GeneratorSpec("gaussian", n=n, m=max(m_list), seed=seed))
     dense = materialize(product)
     rng = np.random.default_rng(seed + 1)
@@ -76,7 +78,7 @@ def run_benchmark(
 
     apply_seconds = []
     for m in m_list:
-        truncated = HouseholderProduct(n, product.factors[:m])
+        truncated = HouseholderProduct(n, product.directions[:m])
         apply_seconds.append(median_seconds(lambda p=truncated: apply(p, x), repeats))
     dense_seconds = median_seconds(lambda: dense @ x, repeats)
 

@@ -14,8 +14,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .bench import run_benchmark
 from .core import apply as apply_product
@@ -139,14 +137,7 @@ def cmd_bound(args) -> int:
 
 def cmd_apply(args) -> int:
     product = fileio.load_product(args.factors)
-    vectors = fileio.load_matrix(args.input)
-    if vectors.shape[0] != product.n:
-        raise ValueError(
-            f"vector file has {vectors.shape[0]} rows, product expects {product.n}"
-        )
-    result = np.column_stack(
-        [apply_product(product, vectors[:, j]) for j in range(vectors.shape[1])]
-    )
+    result = apply_product(product, fileio.load_matrix(args.input))
     if args.out:
         fileio.save_matrix(args.out, result)
     else:

@@ -1,16 +1,19 @@
 """Reflectors, reflector products, and the symmetric eigendecomposition layer.
 
 A reflection is stored as its unit direction u and never materialized unless
-asked for; the represented matrix is I - 2*u*u^T. Products keep an ordered
-tuple of directions and act on vectors in O(m*n).
+asked for; the represented matrix is I - 2*u*u^T. A product of m reflections
+is one read-only (m, n) array of directions, validated once, and acts on a
+vector in O(m*n) and on an n-by-k block in O(m*n*k).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot
+from scipy.linalg.blas import daxpy, ddot, dgemv, dger
 
 SIGN_EPS = 1e-12        # entries at or below this do not anchor the canonical sign
 UNIT_NORM_RTOL = 1e-12  # per-sqrt(n) slack on ||u|| = 1
@@ -19,12 +22,30 @@ SYM_RTOL = 1e-10        # per-n slack on ||A - A^T||_F
 RANK_TOL_RTOL = 1e-6    # per-sqrt(n) threshold on singular values of V - I
 
 
-def _canonical_sign(u: np.ndarray) -> np.ndarray:
-    """Flip u so that its first entry with magnitude above SIGN_EPS is positive."""
-    nonzero = np.flatnonzero(np.abs(u) > SIGN_EPS)
-    if nonzero.size and u[nonzero[0]] < 0.0:
-        return -u
-    return u
+def _canonical_rows(U: np.ndarray) -> np.ndarray:
+    """Flip each row of U so that its first entry above SIGN_EPS in magnitude is positive.
+
+    u and -u describe the same reflection; canonicalizing the sign makes
+    directions comparable. A row without such an entry is kept as is.
+    """
+    lead = U[:, :1].flatten()  # a copy of column 0; empty when U has no rows
+    anchored = np.abs(lead) > SIGN_EPS
+    if not anchored.all():  # column 0 anchors almost every row; search only the rest
+        rest = np.flatnonzero(~anchored)
+        beyond = np.abs(U[rest]) > SIGN_EPS
+        lead[rest] = np.where(beyond.any(axis=1), U[rest, beyond.argmax(axis=1)], 0.0)
+    # every lead is now an anchor, of magnitude above SIGN_EPS, or +0.0
+    return np.multiply(U, np.copysign(1.0, lead)[:, None], order="C")
+
+
+def _unit_rows(U: np.ndarray) -> np.ndarray:
+    """Canonical read-only copy of the rows of U, each a finite unit direction."""
+    deviation = np.abs(np.sqrt(np.einsum("ij,ij->i", U, U)) - 1.0)
+    if not deviation.max(initial=0.0) <= UNIT_NORM_RTOL * math.sqrt(U.shape[1]):  # NaN too
+        raise ValueError(f"reflector direction {deviation.argmax()} must be finite with unit norm")
+    U = _canonical_rows(U)
+    U.setflags(write=False)
+    return U
 
 
 @dataclass(frozen=True)
@@ -41,16 +62,7 @@ class Reflector:
         u = np.asarray(self.u, dtype=float)
         if u.ndim != 1:
             raise ValueError("reflector direction must be a vector")
-        # written so that a NaN norm fails the test too
-        if not abs(np.linalg.norm(u) - 1.0) <= UNIT_NORM_RTOL * np.sqrt(u.shape[0]):
-            raise ValueError("reflector direction must be finite with unit norm")
-        u = _canonical_sign(u.copy())
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
+        object.__setattr__(self, "u", _unit_rows(u[None])[0])
 
 
 def make_reflector(direction) -> Reflector:
@@ -69,41 +81,53 @@ def same_reflector(a: Reflector, b: Reflector, tol: float = 1e-8) -> bool:
 
 @dataclass(frozen=True)
 class HouseholderProduct:
-    """Ordered reflection factors representing factors[0] @ factors[1] @ ...
+    """The product H_1 @ H_2 @ ... @ H_m of reflections H_i = I - 2 u_i u_i^T.
 
-    An empty factor tuple represents the identity.
+    directions is the read-only (m, n) array whose row i is u_i, each row a
+    finite unit vector with canonical sign; no rows represent the identity.
+    factors holds the same rows as Reflector, built on first access.
     """
 
     n: int
-    factors: tuple[Reflector, ...] = ()
+    directions: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for f in self.factors:
-            if f.n != self.n:
-                raise ValueError(
-                    f"factor dimension {f.n} does not match product dimension {self.n}"
-                )
+        U = np.asarray(self.directions, dtype=float)
+        if U.ndim == 1 and U.size == 0:
+            U = U.reshape(0, max(self.n, 0))
+        if self.n < 0 or U.ndim != 2 or U.shape[1] != self.n:
+            raise ValueError(
+                f"directions of shape {U.shape} do not match product dimension {self.n}"
+            )
+        object.__setattr__(self, "directions", _unit_rows(U))
 
     @property
     def m(self) -> int:
-        return len(self.factors)
+        return self.directions.shape[0]
+
+    @cached_property
+    def factors(self) -> tuple[Reflector, ...]:
+        return tuple(Reflector(u) for u in self.directions)
 
 
 def apply(product: HouseholderProduct, x) -> np.ndarray:
-    """Apply the product to a vector with m sequential rank-1 updates, O(m*n).
+    """Apply the product to a vector, or to each column of an n-by-k block, O(m*n*k).
 
-    The rightmost factor acts first. BLAS level-1 kernels keep the per-factor
-    cost at two vector passes.
+    The last direction acts first. A vector takes two BLAS level-1 passes per
+    factor (ddot, daxpy); a block takes one dgemv and one in-place rank-1
+    dger per factor on a Fortran-ordered copy.
     """
-    y = np.array(x, dtype=float)
-    if y.shape != (product.n,):
+    y = np.array(x, dtype=float, order="F")
+    if y.ndim not in (1, 2) or y.shape[0] != product.n:
         raise ValueError(
-            f"dimension mismatch: vector has shape {y.shape}, product expects ({product.n},)"
+            f"dimension mismatch: input of shape {y.shape}, product of dimension {product.n}"
         )
-    for f in reversed(product.factors):
-        u = f.u
-        daxpy(u, y, a=-2.0 * ddot(u, y))
+    if y.ndim == 1:
+        for u in product.directions[::-1]:
+            daxpy(u, y, a=-2.0 * ddot(u, y))
+    elif y.size:  # dger rejects a block without columns
+        for u in product.directions[::-1]:
+            y = dger(-2.0, u, dgemv(1.0, y, u, trans=1), a=y, overwrite_a=True)
     return y
 
 
@@ -114,8 +138,8 @@ def materialize(product: HouseholderProduct) -> np.ndarray:
     I - 2*u*u^T.
     """
     M = np.eye(product.n)
-    for f in product.factors:
-        M -= 2.0 * np.outer(M @ f.u, f.u)  # M <- M (I - 2 u u^T)
+    for u in product.directions:
+        M -= 2.0 * np.outer(M @ u, u)  # M <- M (I - 2 u u^T)
     return M
 
 

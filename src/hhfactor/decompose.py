@@ -268,7 +268,7 @@ def greedy_decompose(
         max_m = n
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
     cap = min(max_m, n)
 
@@ -313,7 +313,6 @@ def greedy_decompose(
     directions = np.stack([state.directions for state in rounds])[round_of, block_of]
     embedded = np.zeros((len(taken), T.shape[0]))
     np.add.at(embedded, (np.arange(len(taken))[:, None], blocks.columns[block_of]), directions)
-    factors = tuple(Reflector(u) for u in embedded @ lift.T)
 
     if residual <= eps:
         termination = "converged"
@@ -323,13 +322,13 @@ def greedy_decompose(
         termination = "n_cap"
     trace = DecompositionTrace(
         rows=tuple(rows),
-        m=len(factors),
+        m=len(taken),
         final_residual=residual,
         final_trace=working_trace,
         final_dim_e1=dim_e1,
         termination=termination,
     )
-    return HouseholderProduct(n, factors), trace
+    return HouseholderProduct(n, embedded @ lift.T), trace
 
 
 def symmetric_decompose(V) -> HouseholderProduct:
@@ -344,9 +343,7 @@ def symmetric_decompose(V) -> HouseholderProduct:
     if np.linalg.norm(M - M.T, "fro") > SYM_INPUT_RTOL * n:
         raise ValueError("input is not symmetric")
     spectrum = symmetric_eigendecomposition(symmetric_part(M))
-    negative = np.flatnonzero(spectrum.eigenvalues < 0.0)
-    factors = tuple(Reflector(spectrum.eigenvectors[:, i]) for i in negative)
-    return HouseholderProduct(n, factors)
+    return HouseholderProduct(n, spectrum.eigenvectors[:, spectrum.eigenvalues < 0.0].T)
 
 
 def qr_baseline(V) -> tuple[HouseholderProduct, np.ndarray]:
@@ -360,7 +357,7 @@ def qr_baseline(V) -> tuple[HouseholderProduct, np.ndarray]:
     M = check_orthogonal(V)
     n = M.shape[0]
     R = M.copy()
-    factors: list[Reflector] = []
+    directions = []
     for j in range(n):
         x = R[j:, j]
         e1 = np.zeros(n - j)
@@ -371,10 +368,8 @@ def qr_baseline(V) -> tuple[HouseholderProduct, np.ndarray]:
         v = x + sign * np.linalg.norm(x) * e1  # sign chosen to avoid cancellation
         v /= np.linalg.norm(v)
         R[j:, :] -= 2.0 * np.outer(v, v @ R[j:, :])
-        direction = np.zeros(n)
-        direction[j:] = v
-        factors.append(Reflector(direction))
-    return HouseholderProduct(n, tuple(factors)), np.diag(R).copy()
+        directions.append(np.concatenate((np.zeros(j), v)))
+    return HouseholderProduct(n, directions), np.diag(R).copy()
 
 
 def residual_upper_bound(V, m: int) -> float:

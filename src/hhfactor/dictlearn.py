@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Reflector, SIGN_EPS, make_reflector
+from .core import Reflector, _canonical_rows, make_reflector
 
 NORM_MATCH_ATOL = 1e-6   # |popcount - ||y||^2| above this rules a guess out
 SOLUTION_ATOL = 1e-9     # re-substitution residual allowed for a candidate
@@ -84,13 +84,6 @@ def solve_column(y, x) -> Reflector | _SubspaceMarker | None:
     return reflector
 
 
-def _canonicalize_rows(U: np.ndarray) -> np.ndarray:
-    """Row-wise canonical sign: first entry above SIGN_EPS made positive."""
-    anchor = np.argmax(np.abs(U) > SIGN_EPS, axis=1)
-    signs = np.where(U[np.arange(U.shape[0]), anchor] < 0.0, -1.0, 1.0)
-    return U * signs[:, None]
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """Reflector candidates induced by one data column.
@@ -99,14 +92,12 @@ class CandidateSet:
     and codes (np.int8, 0/1) the binary guess behind it; both are read-only
     with shape (k, n), rows in lexicographic order of the guess's support.
     candidates and guesses are the same rows as Reflector and int tuples,
-    built on first access. A subspace constraint is recorded when some guess
-    equals the column itself; note explains empty sets (zero column, norm not
+    built on first access. note explains empty sets (zero column, norm not
     near an integer).
     """
 
     directions: np.ndarray
     codes: np.ndarray
-    has_subspace_constraint: bool = False
     note: str = ""
 
     def __post_init__(self):
@@ -135,7 +126,7 @@ def _support_blocks(n: int, ones: int):
 
 
 def _solve_rows(X: np.ndarray, y: np.ndarray, ones: int):
-    """solve_column on each row of X: (any row equals y, solving rows, their directions)."""
+    """solve_column on each row of X other than y itself: (solving rows, their directions)."""
     D = X - y
     distances = np.linalg.norm(D, axis=1)
     fixed = distances <= FIXED_ATOL * max(1.0, np.sqrt(float(ones)))
@@ -145,7 +136,7 @@ def _solve_rows(X: np.ndarray, y: np.ndarray, ones: int):
     coefficients = np.einsum("ij,ij->i", U, Xu)
     residuals = np.linalg.norm(Xu - 2.0 * coefficients[:, None] * U - y, axis=1)
     solved = residuals <= SOLUTION_ATOL
-    return bool(fixed.any()), usable[solved], _canonicalize_rows(U[solved])
+    return usable[solved], _canonical_rows(U[solved])
 
 
 def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
@@ -177,17 +168,15 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
     if ones == 0:
         return CandidateSet(*no_rows, note="zero column")
 
-    has_marker = False
     direction_blocks: list[np.ndarray] = []
     code_blocks: list[np.ndarray] = []
     for supports in _support_blocks(n, ones):
         X = np.zeros((supports.shape[0], n))
         X[np.arange(supports.shape[0])[:, None], supports] = 1.0
-        fixed, solved, directions = _solve_rows(X, y, ones)
-        has_marker = has_marker or fixed
+        solved, directions = _solve_rows(X, y, ones)
         direction_blocks.append(directions)
         code_blocks.append(X[solved].astype(np.int8))
-    return CandidateSet(np.vstack(direction_blocks), np.vstack(code_blocks), has_marker)
+    return CandidateSet(np.vstack(direction_blocks), np.vstack(code_blocks))
 
 
 @dataclass(frozen=True)
@@ -220,7 +209,7 @@ def _match_mask(U: np.ndarray, y: np.ndarray) -> np.ndarray:
         & (guesses.sum(axis=1) == ones)
         & (0 < ones and abs(norm_sq - ones) <= NORM_MATCH_ATOL)
     )
-    _, solved, directions = _solve_rows(guesses[plausible], y, ones)
+    solved, directions = _solve_rows(guesses[plausible], y, ones)
     rows = plausible[solved]
     signs = np.sign(np.einsum("ij,ij->i", directions, U[rows]))[:, None]
     mask = np.zeros(U.shape[0], dtype=bool)

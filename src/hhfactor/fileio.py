@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HouseholderProduct, Reflector
+from .core import HouseholderProduct
 from .decompose import DecompositionTrace, TraceRow
 
 FLOAT_FMT = "%.17g"
@@ -27,18 +27,37 @@ PRODUCT_MAGIC = "HPROD"
 TRACE_FIELDS = ("iter", "residual", "lambda_min", "trace", "dim_e1")
 
 
-def format_matrix(M: np.ndarray) -> str:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError("expected a matrix")
+def _format_rows(header: str, M: np.ndarray) -> str:
     row_format = " ".join([FLOAT_FMT] * M.shape[1])  # one format call per row
-    lines = [f"{M.shape[0]} {M.shape[1]}"]
+    lines = [header]
     lines.extend(row_format % tuple(row.tolist()) for row in M)
     return "\n".join(lines) + "\n"
 
 
+def format_matrix(M: np.ndarray) -> str:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
+    return _format_rows(f"{M.shape[0]} {M.shape[1]}", M)
+
+
 def save_matrix(path, M: np.ndarray) -> None:
     Path(path).write_text(format_matrix(M))
+
+
+def _parse_rows(lines: list[str], rows: int, cols: int, kind: str) -> np.ndarray:
+    """rows lines of cols numbers each; a wrong count or a non-finite entry raises ValueError."""
+    if len(lines) != rows:
+        raise ValueError(f"expected {rows} {kind} rows, found {len(lines)}")
+    M = np.empty((rows, cols))
+    for i, line in enumerate(lines):
+        values = line.split()
+        if len(values) != cols:
+            raise ValueError(f"row {i} has {len(values)} entries, expected {cols}")
+        M[i] = [float(v) for v in values]
+    if not np.isfinite(M).all():  # "nan", "inf" and overflowing literals such as 1e999
+        raise ValueError(f"{kind} file has non-finite entries")
+    return M
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -49,18 +68,7 @@ def parse_matrix(text: str) -> np.ndarray:
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"bad matrix header: {lines[0]!r}")
-    rows, cols = int(header[0]), int(header[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
-    M = np.empty((rows, cols))
-    for i, line in enumerate(lines[1:]):
-        values = line.split()
-        if len(values) != cols:
-            raise ValueError(f"row {i} has {len(values)} entries, expected {cols}")
-        M[i] = [float(v) for v in values]
-    if not np.isfinite(M).all():  # "nan", "inf" and overflowing literals such as 1e999
-        raise ValueError("matrix file has non-finite entries")
-    return M
+    return _parse_rows(lines[1:], int(header[0]), int(header[1]), "matrix")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -68,13 +76,12 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_product(path, product: HouseholderProduct) -> None:
-    row_format = " ".join([FLOAT_FMT] * product.n)
-    lines = [f"{PRODUCT_MAGIC} {product.n} {product.m}"]
-    lines.extend(row_format % tuple(factor.u.tolist()) for factor in product.factors)
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = f"{PRODUCT_MAGIC} {product.n} {product.m}"
+    Path(path).write_text(_format_rows(header, product.directions))
 
 
 def load_product(path) -> HouseholderProduct:
+    """Read a factored file; a row that is not a finite unit direction raises ValueError."""
     lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty factored file")
@@ -82,15 +89,7 @@ def load_product(path) -> HouseholderProduct:
     if len(header) != 3 or header[0] != PRODUCT_MAGIC:
         raise ValueError(f"bad factored-file header: {lines[0]!r}")
     n, m = int(header[1]), int(header[2])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} reflector rows, found {len(lines) - 1}")
-    factors = []
-    for line in lines[1:]:
-        direction = np.array([float(v) for v in line.split()])
-        if direction.shape != (n,):
-            raise ValueError(f"reflector row has {direction.shape[0]} entries, expected {n}")
-        factors.append(Reflector(direction))
-    return HouseholderProduct(n, tuple(factors))
+    return HouseholderProduct(n, _parse_rows(lines[1:], m, n, "reflector"))
 
 
 def format_trace_csv(trace: DecompositionTrace) -> str:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HouseholderProduct, make_reflector, materialize
+from .core import HouseholderProduct, materialize
 
 DISTRIBUTIONS = (
     "gaussian",
@@ -99,8 +99,7 @@ def reflector_directions(spec: GeneratorSpec) -> np.ndarray:
 
 def synthesize(spec: GeneratorSpec) -> tuple[np.ndarray, HouseholderProduct]:
     """Dense instance matrix together with its generating reflector product."""
-    directions = reflector_directions(spec)
-    product = HouseholderProduct(
-        spec.n, tuple(make_reflector(d) for d in directions)
-    )
+    # one row at a time: a row-wise norm (axis=1) rounds differently
+    directions = [d / np.linalg.norm(d) for d in reflector_directions(spec)]
+    product = HouseholderProduct(spec.n, directions)
     return materialize(product), product

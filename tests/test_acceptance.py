@@ -184,7 +184,7 @@ def test_criterion_4_error_bound(tmp_path):
     half = np.zeros(dim)
     half[:4] = 0.5
     pair = materialize(
-        HouseholderProduct(dim, (make_reflector(e1), make_reflector(half)))
+        HouseholderProduct(dim, [make_reflector(e1).u, make_reflector(half).u])
     )
     pair_bound = residual_upper_bound(pair, 2)
     pair_ok = pair_bound == 0.0

@@ -18,3 +18,11 @@ def test_benchmark_requires_two_sizes():
 
     with pytest.raises(ValueError, match="two m values"):
         run_benchmark(n=64, m_list=(4,), repeats=5)
+
+
+def test_benchmark_requires_a_repeat():
+    import pytest
+
+    # a median over no samples is NaN and would read as a scaling verdict
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        run_benchmark(n=64, m_list=(4, 8), repeats=0)

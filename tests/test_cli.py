@@ -93,7 +93,7 @@ def test_decompose_identity_writes_empty_product(tmp_path):
 def test_decompose_reports_cap_with_exit_code(tmp_path):
     rng = np.random.default_rng(5)
     product = HouseholderProduct(
-        8, tuple(make_reflector(rng.standard_normal(8)) for _ in range(5))
+        8, [make_reflector(rng.standard_normal(8)).u for _ in range(5)]
     )
     matrix_path = tmp_path / "v.mat"
     fileio.save_matrix(matrix_path, materialize(product))
@@ -113,6 +113,15 @@ def test_decompose_rejects_non_finite_entries(tmp_path, capsys, bad):
     matrix_path.write_text(f"3 3\n1 0 0\n0 1 {bad}\n0 0 1\n")
     assert main(["decompose", str(matrix_path)]) == 1
     assert "non-finite entries" in capsys.readouterr().err
+
+
+def test_decompose_rejects_nan_eps(tmp_path, capsys):
+    matrix_path = tmp_path / "i2.mat"
+    fileio.save_matrix(matrix_path, np.eye(2))
+    assert main(["decompose", str(matrix_path), "--eps", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert "eps must be positive" in captured.err
+    assert captured.out == ""
 
 
 def test_decompose_missing_file_is_invalid(capsys):
@@ -158,7 +167,7 @@ def test_bound_command_reports_zero_for_exact_pair(tmp_path, capsys):
     half = np.zeros(n)
     half[:4] = 0.5
     pair = materialize(
-        HouseholderProduct(n, (make_reflector(e1), make_reflector(half)))
+        HouseholderProduct(n, [make_reflector(e1).u, make_reflector(half).u])
     )
     matrix_path = tmp_path / "pair.mat"
     fileio.save_matrix(matrix_path, pair)
@@ -216,7 +225,7 @@ def test_apply_empty_product_echoes_vectors(tmp_path, capsys):
 def test_apply_matches_dense_multiplication(tmp_path):
     rng = np.random.default_rng(6)
     product = HouseholderProduct(
-        10, tuple(make_reflector(rng.standard_normal(10)) for _ in range(3))
+        10, [make_reflector(rng.standard_normal(10)).u for _ in range(3)]
     )
     factors_path = tmp_path / "p.hprod"
     fileio.save_product(factors_path, product)
@@ -241,7 +250,7 @@ def test_apply_rejects_shape_mismatch(tmp_path, capsys):
 
 def test_apply_rejects_non_finite_vectors(tmp_path, capsys):
     factors_path = tmp_path / "p.hprod"
-    fileio.save_product(factors_path, HouseholderProduct(3, (make_reflector(U_TRUE),)))
+    fileio.save_product(factors_path, HouseholderProduct(3, [make_reflector(U_TRUE).u]))
     vector_path = tmp_path / "x.mat"
     vector_path.write_text("3 1\n1\nnan\n0\n")
     assert main(["apply", str(factors_path), str(vector_path)]) == 1
@@ -252,12 +261,41 @@ def test_apply_rejects_non_finite_vectors(tmp_path, capsys):
 
 def test_apply_rejects_overflowing_vectors(tmp_path, capsys):
     factors_path = tmp_path / "p.hprod"
-    fileio.save_product(factors_path, HouseholderProduct(3, (make_reflector(U_TRUE),)))
+    fileio.save_product(factors_path, HouseholderProduct(3, [make_reflector(U_TRUE).u]))
     vector_path = tmp_path / "x.mat"
     vector_path.write_text("3 1\n1\n1e999\n0\n")
     assert main(["apply", str(factors_path), str(vector_path)]) == 1
     captured = capsys.readouterr()
     assert "non-finite entries" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("HPROD 3 1\nnan 1 0\n", "non-finite entries"),
+        ("HPROD 3 1\n1 inf 0\n", "non-finite entries"),
+        ("HPROD 3 1\n1 0 1e999\n", "non-finite entries"),
+        ("HPROD 3 1\n0.6 0.8 1e-3\n", "unit norm"),
+        ("HPROD 3 2\n1 0 0\n0.6 0.8\n", "row 1 has 2 entries, expected 3"),
+        ("HPROD -3 0\n", "negative dimension"),
+    ],
+)
+def test_apply_rejects_bad_factored_files(tmp_path, capsys, text, message):
+    factors_path = tmp_path / "bad.hprod"
+    factors_path.write_text(text)
+    vector_path = tmp_path / "x.mat"
+    fileio.save_matrix(vector_path, np.ones((3, 1)))
+    assert main(["apply", str(factors_path), str(vector_path)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_bench_rejects_zero_repeats(capsys):
+    assert main(["bench", "--n", "64", "--m-list", "4,8", "--repeats", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "repeats must be at least 1" in captured.err
     assert captured.out == ""
 
 

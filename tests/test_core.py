@@ -16,11 +16,12 @@ from hhfactor import (
     symmetric_eigendecomposition,
     symmetric_part,
 )
+from hhfactor.core import SIGN_EPS
 
 
 def random_product(rng, n, m):
     return HouseholderProduct(
-        n, tuple(make_reflector(rng.standard_normal(n)) for _ in range(m))
+        n, [make_reflector(rng.standard_normal(n)).u for _ in range(m)]
     )
 
 
@@ -92,7 +93,7 @@ def test_apply_empty_product_is_identity():
 
 
 def test_apply_single_reflector_worked_example():
-    p = HouseholderProduct(3, (make_reflector([2 / 3, 1 / 3, 2 / 3]),))
+    p = HouseholderProduct(3, [make_reflector([2 / 3, 1 / 3, 2 / 3]).u])
     np.testing.assert_allclose(
         apply(p, [1.0, 1.0, 0.0]), [-1 / 3, 1 / 3, -4 / 3], atol=1e-15
     )
@@ -110,7 +111,7 @@ def test_apply_matches_dense_product():
 
 
 def test_apply_rejects_dimension_mismatch():
-    p = HouseholderProduct(3, (make_reflector([1.0, 0.0, 0.0]),))
+    p = HouseholderProduct(3, [make_reflector([1.0, 0.0, 0.0]).u])
     with pytest.raises(ValueError, match="dimension mismatch"):
         apply(p, np.ones(4))
 
@@ -137,11 +138,32 @@ def test_single_reflection_is_an_involution(n, seed):
     )
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (7, 0), (7, 3), (33, 33), (64, 9)])
+@pytest.mark.parametrize("k", [1, 2, 17])
+def test_block_apply_matches_vector_apply(n, m, k):
+    rng = np.random.default_rng(n * 1000 + m * 10 + k)
+    p = random_product(rng, n, m)
+    X = rng.standard_normal((n, k))
+    expected = np.column_stack([apply(p, X[:, j]) for j in range(k)])
+    Y = apply(p, X)
+    assert Y.shape == (n, k)
+    assert np.linalg.norm(Y - expected) <= 1e-12 * np.linalg.norm(expected)
+    np.testing.assert_array_equal(X, apply(HouseholderProduct(n), X))  # X is left alone
+
+
+def test_block_apply_keeps_zero_columns_and_rejects_bad_shapes():
+    p = HouseholderProduct(3, [make_reflector([2 / 3, 1 / 3, 2 / 3]).u])
+    assert apply(p, np.empty((3, 0))).shape == (3, 0)
+    for bad in (np.ones((4, 2)), np.ones((3, 2, 1)), 1.0):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply(p, bad)
+
+
 # -------------------------------------------------------------- materialize
 
 
 def test_materialize_single_reflector(reflection_3x3):
-    p = HouseholderProduct(3, (make_reflector([2 / 3, 1 / 3, 2 / 3]),))
+    p = HouseholderProduct(3, [make_reflector([2 / 3, 1 / 3, 2 / 3]).u])
     np.testing.assert_allclose(materialize(p), reflection_3x3, atol=1e-15)
 
 
@@ -152,7 +174,7 @@ def test_materialize_empty_product():
 def test_materialize_orthogonal_directions_commute_to_a_sum():
     u1 = make_reflector([1.0, 0.0, 0.0, 0.0])
     u2 = make_reflector([0.0, 0.0, 3.0, 4.0])
-    p = HouseholderProduct(4, (u1, u2))
+    p = HouseholderProduct(4, [u1.u, u2.u])
     expected = np.eye(4) - 2 * np.outer(u1.u, u1.u) - 2 * np.outer(u2.u, u2.u)
     np.testing.assert_allclose(materialize(p), expected, atol=1e-15)
 
@@ -196,7 +218,7 @@ def test_symmetric_part_of_reflection_pair():
     u2 = make_reflector(rng.standard_normal(6)).u
     k = u1 @ u2
     V = materialize(
-        HouseholderProduct(6, (Reflector(u1), Reflector(u2)))
+        HouseholderProduct(6, [u1, u2])
     )
     expected = (
         np.eye(6)
@@ -218,7 +240,7 @@ def test_eigendecomposition_identity():
 def test_eigendecomposition_reflection_spectrum():
     rng = np.random.default_rng(5)
     r = make_reflector(rng.standard_normal(8))
-    H = materialize(HouseholderProduct(8, (r,)))
+    H = materialize(HouseholderProduct(8, [r.u]))
     spectrum = symmetric_eigendecomposition(H)
     np.testing.assert_allclose(spectrum.eigenvalues[0], -1.0, atol=1e-12)
     np.testing.assert_allclose(spectrum.eigenvalues[1:], np.ones(7), atol=1e-12)
@@ -231,7 +253,7 @@ def test_eigendecomposition_pair_has_doubled_bottom_eigenvalue():
     u1 = make_reflector(rng.standard_normal(9)).u
     u2 = make_reflector(rng.standard_normal(9)).u
     k = u1 @ u2
-    V = materialize(HouseholderProduct(9, (Reflector(u1), Reflector(u2))))
+    V = materialize(HouseholderProduct(9, [u1, u2]))
     spectrum = symmetric_eigendecomposition(symmetric_part(V))
     np.testing.assert_allclose(
         spectrum.eigenvalues[:2], [-1 + 2 * k**2] * 2, atol=1e-10
@@ -330,6 +352,48 @@ def test_check_orthogonal_accepts_wider_tolerance():
     np.testing.assert_array_equal(check_orthogonal(V, tol=1e-3), V)
 
 
+def canonical_sign_reference(u):
+    """The scalar sign rule: flip u when its first entry above SIGN_EPS is negative."""
+    nonzero = np.flatnonzero(np.abs(u) > SIGN_EPS)
+    return -u if nonzero.size and u[nonzero[0]] < 0.0 else u
+
+
+def test_product_rows_follow_the_scalar_sign_rule():
+    rng = np.random.default_rng(11)
+    U = rng.standard_normal((40, 6))
+    U[::3, 0] = 0.0
+    U[::5, :2] = rng.choice([-0.0, 0.0, -SIGN_EPS, SIGN_EPS], size=(8, 2))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    U[::2] *= -1.0
+    p = HouseholderProduct(6, U)
+    for row, u in zip(p.directions, U):
+        np.testing.assert_array_equal(row, canonical_sign_reference(u))
+        np.testing.assert_array_equal(row, Reflector(u).u)
+    assert not p.directions.flags.writeable and p.directions.flags.c_contiguous
+    assert [f.u.tolist() for f in p.factors] == p.directions.tolist()
+    assert p.m == 40 and U.flags.writeable  # the caller's array is copied, not frozen
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[np.nan, 1.0, 0.0]], "finite with unit norm"),
+        ([[1.0, 0.0, 0.0], [np.inf, 0.0, 0.0]], "direction 1 must be finite"),
+        ([[0.6, 0.8, 1e-3]], "unit norm"),
+        ([[0.0, 0.0, 0.0]], "unit norm"),
+        ([1.0, 0.0, 0.0], "shape"),
+    ],
+)
+def test_product_rejects_bad_directions(rows, message):
+    with pytest.raises(ValueError, match=message):
+        HouseholderProduct(3, rows)
+
+
+def test_product_rejects_negative_dimension():
+    with pytest.raises(ValueError, match="product dimension -3"):
+        HouseholderProduct(-3)
+
+
 def test_product_rejects_mismatched_factor_dimension():
     with pytest.raises(ValueError, match="dimension"):
-        HouseholderProduct(3, (make_reflector([1.0, 0.0]),))
+        HouseholderProduct(3, [make_reflector([1.0, 0.0]).u])

@@ -31,7 +31,7 @@ U_3X3 = np.array([2 / 3, 1 / 3, 2 / 3])
 
 def random_product(rng, n, m):
     return HouseholderProduct(
-        n, tuple(make_reflector(rng.standard_normal(n)) for _ in range(m))
+        n, [make_reflector(rng.standard_normal(n)).u for _ in range(m)]
     )
 
 
@@ -39,7 +39,7 @@ def reflection_pair(rng, n):
     """Product of two random reflections plus their mutual inner product."""
     u1 = make_reflector(rng.standard_normal(n)).u
     u2 = make_reflector(rng.standard_normal(n)).u
-    V = materialize(HouseholderProduct(n, (Reflector(u1), Reflector(u2))))
+    V = materialize(HouseholderProduct(n, [u1, u2]))
     return V, u1 @ u2
 
 
@@ -127,8 +127,9 @@ def test_greedy_rejects_non_orthogonal_input():
 
 
 def test_greedy_rejects_bad_parameters():
-    with pytest.raises(ValueError, match="eps"):
-        greedy_decompose(np.eye(3), eps=0.0)
+    for eps in (0.0, float("nan")):  # NaN fails every comparison
+        with pytest.raises(ValueError, match="eps"):
+            greedy_decompose(np.eye(3), eps=eps)
     with pytest.raises(ValueError, match="max_m"):
         greedy_decompose(np.eye(3), max_m=-1)
 
@@ -418,7 +419,7 @@ def sequential_block_reference(V, max_m, eps):
     else:
         termination = "n_cap"
     final = (residual, working_trace, dim_e1)
-    return rows, HouseholderProduct(n, tuple(factors)), final, termination
+    return rows, HouseholderProduct(n, [f.u for f in factors]), final, termination
 
 
 def assert_same_factors_up_to_commuting_order(got, expected, tol=1e-8):
@@ -702,7 +703,7 @@ def test_qr_baseline_on_worked_example(reflection_3x3):
     product, diagonal = qr_baseline(reflection_3x3)
     assert product.m == 3
     np.testing.assert_allclose(diagonal, [-1.0, -1.0, 1.0], atol=1e-12)
-    dense = [materialize(HouseholderProduct(3, (f,))) for f in product.factors]
+    dense = [materialize(HouseholderProduct(3, [f.u])) for f in product.factors]
     np.testing.assert_allclose(
         dense[0],
         np.array([[-5, 20, 40], [20, 37, -16], [40, -16, 13]]) / 45.0,
@@ -753,7 +754,7 @@ def test_bound_is_zero_for_exact_pair_at_two_factors():
     half = np.zeros(n)
     half[:4] = 0.5
     V = materialize(
-        HouseholderProduct(n, (make_reflector(e1), make_reflector(half)))
+        HouseholderProduct(n, [make_reflector(e1).u, make_reflector(half).u])
     )
     assert residual_upper_bound(V, 2) == 0.0
 
@@ -804,7 +805,7 @@ def test_bound_can_undershoot_the_greedy_at_odd_counts():
     u1[0] = 1.0
     u2 = np.zeros(n)
     u2[0], u2[1] = k, np.sqrt(1.0 - k * k)
-    V = materialize(HouseholderProduct(n, (make_reflector(u1), make_reflector(u2))))
+    V = materialize(HouseholderProduct(n, [make_reflector(u1).u, make_reflector(u2).u]))
     _, distance = nearest_reflector(V)
     np.testing.assert_allclose(distance, 2.0, atol=1e-10)
     assert residual_upper_bound(V, 1) < distance - 0.1

@@ -169,12 +169,6 @@ def test_enumerate_norm_inconsistent_column():
     assert "inconsistent" in candidate_set.note
 
 
-def test_enumerate_marks_fixed_guess():
-    y = np.array([1.0, 1.0, 0.0])
-    candidate_set = enumerate_candidates(y)
-    assert candidate_set.has_subspace_constraint
-
-
 def test_enumerate_refuses_large_instances():
     with pytest.raises(InstanceTooLargeError, match="too large"):
         enumerate_candidates(np.zeros(25))

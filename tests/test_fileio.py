@@ -102,7 +102,7 @@ def test_matrix_text_roundtrip_and_non_finite_rejection(M, data):
 
 def test_save_product_matches_per_value_format(tmp_path):
     directions = ([1.0, -0.0, 5e-324, 0.0, 1e-300], [0.6, -0.8, 1e-308, -5e-324, 0.0])
-    product = HouseholderProduct(5, tuple(Reflector(np.array(d)) for d in directions))
+    product = HouseholderProduct(5, np.array(directions))
     path = tmp_path / "p.hprod"
     fileio.save_product(path, product)
     rows = (" ".join(fileio.FLOAT_FMT % value for value in f.u) for f in product.factors)
@@ -112,7 +112,7 @@ def test_save_product_matches_per_value_format(tmp_path):
 def test_product_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     product = HouseholderProduct(
-        9, tuple(make_reflector(rng.standard_normal(9)) for _ in range(4))
+        9, [make_reflector(rng.standard_normal(9)).u for _ in range(4)]
     )
     path = tmp_path / "p.hprod"
     fileio.save_product(path, product)
@@ -144,7 +144,7 @@ def test_trace_csv_roundtrip_and_recursion(tmp_path):
     rng = np.random.default_rng(3)
     n = 12
     product = HouseholderProduct(
-        n, tuple(make_reflector(rng.standard_normal(n)) for _ in range(5))
+        n, [make_reflector(rng.standard_normal(n)).u for _ in range(5)]
     )
     V = materialize(product)
     _, trace = greedy_decompose(V, eps=1e-6)

@@ -31,3 +31,15 @@ def test_every_probed_name_resolves_in_the_package():
     assert len(names) >= 10
     missing = [f"{module}.{name}" for module, name in names if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_perfbench_self_test_passes():
+    # the self-test drives every workload through the package's product API
+    result = subprocess.run(
+        [sys.executable, "-B", "perfbench/selftest.py"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
