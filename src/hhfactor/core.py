@@ -48,7 +48,7 @@ def _unit_rows(U: np.ndarray) -> np.ndarray:
     return U
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reflector:
     """Unit direction u of the reflection I - 2*u*u^T, stored with canonical sign.
 
@@ -79,7 +79,7 @@ def same_reflector(a: Reflector, b: Reflector, tol: float = 1e-8) -> bool:
     return min(np.linalg.norm(a.u - b.u), np.linalg.norm(a.u + b.u)) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HouseholderProduct:
     """The product H_1 @ H_2 @ ... @ H_m of reflections H_i = I - 2 u_i u_i^T.
 
@@ -166,7 +166,7 @@ def symmetric_part(V) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
     """Eigenvalues in ascending order with matching orthonormal eigenvector columns."""
 

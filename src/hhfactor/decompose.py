@@ -20,17 +20,15 @@ of W - I are sqrt(2(1 - mu)) over the eigenvalues mu of sym W: the blocks'
 eigenvalues give the fixed-subspace dimension as well.
 
 Blocks never interact, so a block's states after one, two, ... steps on it
-do not depend on what happened to the other blocks. The greedy therefore
-runs in rounds: round r takes the r-th step on every block at once, with
-one stacked eigensolve of the blocks' symmetric parts, and records what
-each block contributes to the residual, the trace and the fixed-subspace
-dimension. Only the order in which blocks are taken stays sequential, and
-it needs nothing but those recorded scalars.
+do not depend on what happened to the other blocks. Two steps clear a
+rotation block and one a -1 block, so three rounds hold every state: round
+r takes the r-th step on every block at once, with one stacked eigensolve,
+and records what each block contributes to the residual, the trace and the
+fixed-subspace dimension. One sort of those scalars fixes the step order.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,10 +72,11 @@ class TraceRow:
 class DecompositionTrace:
     """Per-iteration records plus the final state of a greedy run.
 
-    termination is "converged", "m_cap" (caller's factor budget exhausted), or
-    "n_cap" (dimension bound reached). final_trace and final_dim_e1 describe
-    the working matrix after the last iteration, so consecutive rows and the
-    final state together cover every iteration's trace/eigenspace transition.
+    termination is "converged", or else "m_cap" (caller's factor budget under
+    n) or "n_cap": the budget ran out, or every block was cleared with the
+    residual still above eps. final_trace and final_dim_e1 describe the
+    working matrix after the last iteration, so consecutive rows and the final
+    state together cover every iteration's trace/eigenspace transition.
     """
 
     rows: tuple[TraceRow, ...]
@@ -237,9 +236,10 @@ def greedy_decompose(
         The factors in application order (their product approximates V) and a
         DecompositionTrace with one row per completed iteration.
 
-    When V is exactly a product of p <= max_m reflections and eps is at
-    exact-recovery scale (<= 1e-6), the run converges with exactly p factors,
-    and p is minimal; min_factors provides the independent count.
+    When V is exactly a product of p <= max_m reflections and eps lies
+    between the roundoff those factors leave and exact-recovery scale
+    (1e-6), the run converges with exactly p factors, and p is minimal;
+    min_factors provides the independent count.
 
     One n-by-n eigensolve of sym(V) yields the moving subspace Q and
     C = Q^T V Q, and one real Schur factorization C = Z T Z^T follows. The
@@ -247,20 +247,21 @@ def greedy_decompose(
     size at most 2; a step on a block reflects that block's rows of T by its
     bottom eigenvector a and lifts a to the n-dimensional factor
     (QZ)[:, block] a. A step touches only its block, so the steps are taken
-    in rounds: round r reflects every block for the r-th time, with one
-    stacked eigensolve and one stacked reflection, and records per block the
-    bottom eigenvalue, the squared norm of its rows of I - T_w, its diagonal
-    sum and its count of singular values of W - I above the rank tolerance.
-    A scalar loop then takes the block with the smallest bottom eigenvalue,
-    ties going to the first block, and builds each trace row from the
-    recorded sums: the residual is sqrt(sum of row norms + rest^2), rest
-    being the part of V - I outside the compression, because the product is
-    orthogonal and ||product - V||_F = ||I - W||_F; trace = (tr V - tr T)
-    + the diagonal sums, and dim_e1 = n - the counts. A round is computed
-    only when the loop first needs it: rounds 1 and 2 clear every block,
-    and a third runs only when eps lies below what roundoff lets the
-    residual reach. The factors are lifted with one product QZ A. When the
-    dropped part exceeds eps/2, or nothing is dropped, Q = I.
+    in three rounds: round r reflects every block for the r-th time, with
+    one stacked eigensolve and one stacked reflection, and records per block
+    the bottom eigenvalue, the squared norm of its rows of I - T_w, its
+    diagonal sum and its count of singular values of W - I above the rank
+    tolerance. The plan, fixed at entry, holds two steps per rotation block
+    and one per -1 block in the order of always taking the block with the
+    smallest bottom eigenvalue, ties going to the first block. A scalar loop
+    walks it until the residual is within eps, the budget is spent or the
+    plan ends, so a cleared block is never stepped, and builds each trace
+    row from the recorded sums: the residual is sqrt(sum of row norms +
+    rest^2), rest being the part of V - I outside the compression, because
+    the product is orthogonal and ||product - V||_F = ||I - W||_F; trace =
+    (tr V - tr T) + the diagonal sums, and dim_e1 = n - the counts. The
+    factors are lifted with one product QZ A. When the dropped part exceeds
+    eps/2, or nothing is dropped, Q = I.
     """
     M = check_orthogonal(V)
     n = M.shape[0]
@@ -270,49 +271,46 @@ def greedy_decompose(
         raise ValueError("max_m must be nonnegative")
     if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
-    cap = min(max_m, n)
 
     basis, C, rest = _moving_subspace(M, symmetric_eigendecomposition(symmetric_part(M)), eps)
     T, Z = schur(C, output="real")
     lift = Z if basis is None else basis @ Z
     blocks = _BlockRows.of(T, _schur_blocks(T))
     rounds = [_block_round(blocks, n)]
-    # each block's current state: its round, and that round's sums
-    level = [0] * len(rounds[0].lambda_min)
+    for _ in range(2):  # two steps clear a rotation block, one a -1 block
+        _peel(blocks.rows, rounds[-1].directions)
+        rounds.append(_block_round(blocks, n))
+    first = rounds[0].lambda_min
+    counts = [2 if pair else int(lam < 0.0) for pair, lam in zip(blocks.pairs.tolist(), first)]
+    # a block whose next lambda_min is lower stays the argmin, so the argmin
+    # order sorts each step by the running max of its block's lambda_min
+    steps = [(k, r) for k, count in enumerate(counts) for r in range(count)]
+    plan = sorted((max(first[k], rounds[r].lambda_min[k]), k, r) for k, r in steps)[: min(max_m, n)]
     row_norms = list(rounds[0].row_norms)
     diagonals = list(rounds[0].diagonals)
     moving = sum(rounds[0].moving)
-    queue = [(lam, k) for k, lam in enumerate(rounds[0].lambda_min)]
-    heapq.heapify(queue)
     dropped_trace = float(np.trace(M) - np.trace(T))
-    taken: list[tuple[int, int]] = []  # (block, round before the step), per factor
-    rows: list[TraceRow] = []
+    rows: list[TraceRow] = []  # row j: the step plan[j]
     residual = math.hypot(math.sqrt(math.fsum(row_norms)), rest)
     while True:
         working_trace = dropped_trace + math.fsum(diagonals)
         dim_e1 = n - moving
-        if residual <= eps or len(taken) >= cap:
+        if residual <= eps or len(rows) == len(plan):
             break
-        lambda_min, k = heapq.heappop(queue)
-        r = level[k]
-        if r + 1 == len(rounds):
-            _peel(blocks.rows, rounds[r].directions)
-            rounds.append(_block_round(blocks, n))
+        _, k, r = plan[len(rows)]
         after = rounds[r + 1]
-        level[k] = r + 1
         row_norms[k] = after.row_norms[k]
         diagonals[k] = after.diagonals[k]
         moving += after.moving[k] - rounds[r].moving[k]
         residual = math.hypot(math.sqrt(math.fsum(row_norms)), rest)
-        rows.append(TraceRow(len(taken), residual, lambda_min, working_trace, dim_e1))
-        taken.append((k, r))
-        heapq.heappush(queue, (after.lambda_min[k], k))
+        rows.append(TraceRow(len(rows), residual, rounds[r].lambda_min[k], working_trace, dim_e1))
 
     # row j of embedded is factor j's direction in the coordinates of T
-    block_of, round_of = np.array(taken, dtype=int).reshape(-1, 2).T
+    taken = np.array([step[1:] for step in plan[: len(rows)]], dtype=int).reshape(-1, 2)
+    block_of, round_of = taken.T
     directions = np.stack([state.directions for state in rounds])[round_of, block_of]
-    embedded = np.zeros((len(taken), T.shape[0]))
-    np.add.at(embedded, (np.arange(len(taken))[:, None], blocks.columns[block_of]), directions)
+    embedded = np.zeros((len(rows), T.shape[0]))
+    np.add.at(embedded, (np.arange(len(rows))[:, None], blocks.columns[block_of]), directions)
 
     if residual <= eps:
         termination = "converged"
@@ -322,7 +320,7 @@ def greedy_decompose(
         termination = "n_cap"
     trace = DecompositionTrace(
         rows=tuple(rows),
-        m=len(taken),
+        m=len(rows),
         final_residual=residual,
         final_trace=working_trace,
         final_dim_e1=dim_e1,

@@ -84,7 +84,7 @@ def solve_column(y, x) -> Reflector | _SubspaceMarker | None:
     return reflector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Reflector candidates induced by one data column.
 
@@ -179,7 +179,7 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
     return CandidateSet(np.vstack(direction_blocks), np.vstack(code_blocks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Recovered reflection, binary codes, and reconstruction residual."""
 

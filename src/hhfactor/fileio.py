@@ -68,7 +68,10 @@ def parse_matrix(text: str) -> np.ndarray:
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"bad matrix header: {lines[0]!r}")
-    return _parse_rows(lines[1:], int(header[0]), int(header[1]), "matrix")
+    rows, cols = int(header[0]), int(header[1])
+    if cols == 0 and len(lines) == 1:  # rows without numbers are the blank lines dropped above
+        return np.empty((rows, 0))
+    return _parse_rows(lines[1:], rows, cols, "matrix")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -5,6 +5,7 @@ import hhfactor.decompose as decompose
 from hhfactor import (
     GeneratorSpec,
     HouseholderProduct,
+    haar_orthogonal,
     make_reflector,
     materialize,
     residual_upper_bound,
@@ -98,6 +99,21 @@ def test_decompose_reports_cap_with_exit_code(tmp_path):
     matrix_path = tmp_path / "v.mat"
     fileio.save_matrix(matrix_path, materialize(product))
     assert main(["decompose", str(matrix_path), "--m", "2", "--eps", "1e-6"]) == 2
+
+
+def test_decompose_below_roundoff_stops_at_the_cleared_product(tmp_path, capsys):
+    # a det -1 Haar input at n = 32 is 31 reflections; eps = 1e-14 lies below
+    # the residual roundoff lets them reach, so the run reports the cap
+    V = haar_orthogonal(np.random.default_rng(46), 32)
+    if np.linalg.det(V) > 0:
+        V[:, 0] = -V[:, 0]
+    matrix_path, out_path = tmp_path / "v.mat", tmp_path / "v.hprod"
+    fileio.save_matrix(matrix_path, V)
+    assert main(["decompose", str(matrix_path), "--eps", "1e-14", "--out", str(out_path)]) == 2
+    assert "m=31 " in capsys.readouterr().out
+    product = fileio.load_product(out_path)
+    assert product.m == 31
+    assert np.linalg.norm(materialize(product) - V, "fro") <= 1e-13
 
 
 def test_decompose_rejects_non_orthogonal(tmp_path, capsys):
@@ -220,6 +236,17 @@ def test_apply_empty_product_echoes_vectors(tmp_path, capsys):
     assert main(["apply", str(factors_path), str(vector_path)]) == 0
     out = capsys.readouterr().out
     assert np.array_equal(fileio.parse_matrix(out), [[1.0], [2.0], [3.0]])
+
+
+def test_apply_to_no_vectors_round_trips(tmp_path, capsys):
+    factors_path = tmp_path / "p.hprod"
+    fileio.save_product(factors_path, HouseholderProduct(3, [make_reflector(U_TRUE).u]))
+    vector_path, out_path = tmp_path / "x.mat", tmp_path / "y.mat"
+    fileio.save_matrix(vector_path, np.empty((3, 0)))
+    assert main(["apply", str(factors_path), str(vector_path), "--out", str(out_path)]) == 0
+    assert fileio.load_matrix(out_path).shape == (3, 0)
+    assert main(["apply", str(factors_path), str(out_path)]) == 0
+    assert fileio.parse_matrix(capsys.readouterr().out).shape == (3, 0)
 
 
 def test_apply_matches_dense_multiplication(tmp_path):

@@ -10,8 +10,10 @@ from hhfactor import (
     apply,
     check_orthogonal,
     eigenspace_one_dimension,
+    enumerate_candidates,
     make_reflector,
     materialize,
+    recover,
     same_reflector,
     symmetric_eigendecomposition,
     symmetric_part,
@@ -70,6 +72,24 @@ def test_same_reflector_identifies_signs():
     v = rng.standard_normal(9)
     assert same_reflector(make_reflector(v), make_reflector(-v))
     assert not same_reflector(make_reflector(v), make_reflector(rng.standard_normal(9)))
+
+
+def test_array_holding_values_compare_by_identity():
+    # generated == and hash() would compare and hash the arrays and raise;
+    # same_reflector compares values
+    u = np.array([2 / 3, 1 / 3, 2 / 3])
+    Y = (np.eye(3) - 2.0 * np.outer(u, u)) @ np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    makers = [
+        lambda: Reflector(u),
+        lambda: HouseholderProduct(3, [u, u]),
+        lambda: symmetric_eigendecomposition(np.eye(2)),
+        lambda: enumerate_candidates(Y[:, 0]),
+        lambda: recover(Y),
+    ]
+    for make in makers:
+        value, twin = make(), make()
+        assert value == value and value != twin
+        assert hash(value) == hash(value) != hash(twin)
 
 
 @settings(deadline=None)

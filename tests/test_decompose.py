@@ -451,8 +451,8 @@ def sequential_instances():
     """Seeded (label, V, budgets, eps values) for the block-loop oracle.
 
     The odd budgets under p stop halfway through clearing a rotation block;
-    eps = 1e-14 on Haar inputs lies below roundoff, so blocks are stepped a
-    third time.
+    eps = 1e-14 on Haar inputs lies below roundoff, where the oracle steps a
+    cleared block a third time and greedy stops.
     """
     loose = (0.05, 1e-6, 1e-10)
     cases = []
@@ -492,6 +492,13 @@ def test_greedy_matches_sequential_block_oracle(case):
             rows, expected, (residual, working_trace, dim_e1), termination = (
                 sequential_block_reference(V, max_m, eps)
             )
+            if trace.m < expected.m:
+                # below roundoff the oracle steps past a cleared block, away from V;
+                # greedy ends on the oracle's state before that step
+                assert rows[trace.m][0] > trace.final_residual
+                residual, (_, _, working_trace, dim_e1) = rows[trace.m - 1][0], rows[trace.m]
+                rows = rows[: trace.m]
+                expected = HouseholderProduct(V.shape[0], expected.directions[: trace.m])
             assert (trace.m, trace.termination) == (expected.m, termination), (max_m, eps)
             assert [row.dim_e1 for row in trace.rows] == [row[3] for row in rows]
             assert trace.final_dim_e1 == dim_e1
@@ -504,10 +511,19 @@ def test_greedy_matches_sequential_block_oracle(case):
             assert_same_factors_up_to_commuting_order(product.factors, expected.factors)
 
 
-def test_greedy_steps_a_block_a_third_time_only_below_roundoff(monkeypatch):
-    # rounds 1 and 2 clear every block. A det -1 Haar input at n = 32 ends
-    # them at a residual around 1e-14, so at eps = 1e-14 it takes a 32nd
-    # step with lambda_min near 1, which needs a third round
+def det_minus_one_haar_32():
+    """Haar n = 32 with det -1: 15 rotation planes and one -1, p = 31 factors."""
+    V = haar_orthogonal(np.random.default_rng(46), 32)
+    if np.linalg.det(V) > 0:
+        V[:, 0] = -V[:, 0]
+    return V
+
+
+def test_greedy_stops_when_its_plan_runs_out_below_roundoff(monkeypatch):
+    # two steps clear a rotation block and one clears a -1 block, so the plan
+    # has 31 steps and ends at a residual around 1e-14. At eps = 1e-14 the run
+    # stops there instead of stepping a cleared block away from V, and the
+    # rounds are those of eps = 1e-6
     eigh = np.linalg.eigh
     calls = []
 
@@ -516,16 +532,45 @@ def test_greedy_steps_a_block_a_third_time_only_below_roundoff(monkeypatch):
         return eigh(A, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    rounds = {}
+    eigh_calls = {}
     for eps in (1e-6, 1e-14):
         calls.clear()
-        V = haar_orthogonal(np.random.default_rng(46), 32)
-        if np.linalg.det(V) > 0:
-            V[:, 0] = -V[:, 0]
-        _, trace = greedy_decompose(V, eps=eps)
-        rounds[eps] = len(calls) - 2  # the entry eigensolve and the blocks' start
-    assert rounds[1e-6] == 2
-    assert rounds[1e-14] == 3 and trace.m == 32 and trace.termination == "n_cap"
+        _, trace = greedy_decompose(det_minus_one_haar_32(), eps=eps)
+        eigh_calls[eps] = len(calls)
+    assert eigh_calls[1e-6] == eigh_calls[1e-14] == 4  # the entry eigensolve and three rounds
+    assert trace.m == 31 and trace.termination == "n_cap"
+    assert 1e-14 < trace.final_residual <= 1e-13
+
+
+def prefix_instances():
+    """Inputs for the best-prefix sweep: Haar, every distribution, -I and I."""
+    rng = np.random.default_rng(47)
+    for n in (8, 16, 24, 32, 40, 48):
+        for det in (1.0, -1.0):
+            for _ in range(3):
+                V = haar_orthogonal(rng, n)
+                if np.linalg.det(V) * det < 0:
+                    V[:, 0] = -V[:, 0]
+                yield V
+    for dist in DISTRIBUTIONS:
+        for n in (8, 24, 48):
+            for m in (n // 3, n):
+                yield synthesize(GeneratorSpec(dist, n=n, m=m, seed=600 + n + m))[0]
+    for n in (8, 48):
+        yield -np.eye(n)
+        yield np.eye(n)
+
+
+def test_greedy_never_ends_above_its_best_prefix():
+    # at eps down to below roundoff, no run gives back what an earlier
+    # prefix of its own factors had reached
+    for V in prefix_instances():
+        n = V.shape[0]
+        start = float(np.linalg.norm(V - np.eye(n), "fro"))
+        for eps in (1e-6, 1e-12, 1e-14, 1e-16):
+            _, trace = greedy_decompose(V, max_m=n, eps=eps)
+            best = min([start] + [row.residual for row in trace.rows])
+            assert trace.final_residual <= best + 1e-12, (n, eps, trace.m)
 
 
 def test_greedy_borderline_rank_keeps_all_factors():

@@ -53,6 +53,14 @@ def test_matrix_parse_shapes():
         fileio.parse_matrix("1 2\n1 2\n3 4\n")
     with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
         fileio.parse_matrix("2 2\n1 2\n3 4 5\n")
+    with pytest.raises(ValueError, match="expected 2 matrix rows, found 1"):
+        fileio.parse_matrix("2 0\n1\n")
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 0), (0, 3)])
+def test_matrix_without_entries_round_trips(shape):
+    M = np.empty(shape)
+    assert fileio.parse_matrix(fileio.format_matrix(M)).shape == shape
 
 
 def per_value_format(M):
