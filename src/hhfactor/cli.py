@@ -21,7 +21,6 @@ from .core import check_orthogonal
 from .decompose import _residual_bounds, greedy_decompose
 from .dictlearn import (
     AmbiguousRecoveryError,
-    ENUMERATION_CAP,
     NoCommonCandidateError,
     recover,
 )
@@ -148,7 +147,7 @@ def cmd_apply(args) -> int:
 def cmd_recover(args) -> int:
     Y = fileio.load_matrix(args.input)
     try:
-        result = recover(Y, cap=args.max_n)
+        result = recover(Y)
     except AmbiguousRecoveryError as exc:
         print(f"ambiguous: {exc}")
         return EXIT_AMBIGUOUS
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover reflection and binary codes from data")
     p.add_argument("input", help="matrix file with the data columns")
-    p.add_argument("--max-n", type=int, default=ENUMERATION_CAP, help="enumeration cap")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("bench", help="factored apply vs dense multiply timings")

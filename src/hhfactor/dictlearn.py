@@ -3,15 +3,18 @@
 Data columns follow y = (I - 2uu^T) x with x a 0/1 vector. Reflections
 preserve norms, so ||y||^2 must equal the popcount of x; for a guessed x with
 matching norm the direction is pinned down (up to sign) as (x - y)/||x - y||.
-Brute-force enumeration of one column's guesses gives a finite candidate set;
-the second column decodes through each candidate to its single possible
-guess, which picks u out of the set. The enumeration is exponential by design
-and refuses instances above a size cap.
+Every guess of a column's binomial slice may be valid, so one column alone
+has exponentially many candidates; enumerate_candidates lists them and
+refuses instances above a size cap. Recovery from two columns is polynomial:
+both share u, so x_a - y_a = c (x_b - y_b) for one scalar c. One pivot
+coordinate of y_b leaves at most four values of c, and each value fixes the
+guess for y_a coordinate by coordinate, except where |c| is near 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,8 +28,11 @@ FIXED_ATOL = 1e-9        # ||x - y|| at or below this means the column is fixed
 MATCH_ATOL = 1e-8        # +-equivalence threshold when matching candidates
 DECODE_ATOL = 1e-6       # how far decoded codes may sit from {0, 1}
 ENUMERATION_CAP = 24     # brute force is exponential; refuse larger instances
+PIVOT_RTOL = 1e-5        # pivot filter per coordinate, looser than the exact tests
+COMBINATION_CAP = 4096   # guesses tried per pivot value of c before enumerating
 
 _CHUNK = 1 << 15         # supports solved per vectorized block
+_BLOCK = 64              # pivot guesses solved per vectorized block
 
 
 class RecoveryError(ValueError):
@@ -116,13 +122,12 @@ class CandidateSet:
         return tuple(map(tuple, self.codes.tolist()))
 
 
-def _support_blocks(n: int, ones: int):
-    supports = itertools.combinations(range(n), ones)
-    while True:
-        block = list(itertools.islice(supports, _CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
+def _guess_blocks(base: np.ndarray, supports, size: int):
+    """Guesses base + ones on each support, in blocks of at most size rows."""
+    while block := list(itertools.islice(supports, size)):
+        X = np.repeat(base[None], len(block), axis=0)
+        X[np.arange(len(block))[:, None], np.array(block, dtype=np.intp)] = 1.0
+        yield X
 
 
 def _solve_rows(X: np.ndarray, y: np.ndarray, ones: int):
@@ -170,9 +175,7 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
 
     direction_blocks: list[np.ndarray] = []
     code_blocks: list[np.ndarray] = []
-    for supports in _support_blocks(n, ones):
-        X = np.zeros((supports.shape[0], n))
-        X[np.arange(supports.shape[0])[:, None], supports] = 1.0
+    for X in _guess_blocks(np.zeros(n), itertools.combinations(range(n), ones), _CHUNK):
         solved, directions = _solve_rows(X, y, ones)
         direction_blocks.append(directions)
         code_blocks.append(X[solved].astype(np.int8))
@@ -217,22 +220,90 @@ def _match_mask(U: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mask
 
 
-def recover(Y, cap: int = ENUMERATION_CAP) -> RecoveryResult:
+def _slice_is_empty(y: np.ndarray) -> bool:
+    """Whether enumerate_candidates(y) is empty, in O(n log n).
+
+    Reflecting a guess x along x - y re-substitutes with residual exactly
+    | ||y||^2 - ||x||^2 | / ||x - y||, smallest for the guess of the slice
+    farthest from y, whose ones sit on the smallest entries of y. So that
+    guess alone decides. y must not be binary: then no guess is fixed.
+    """
+    n = y.shape[0]
+    norm_sq = float(y @ y)
+    ones = round(norm_sq)
+    if not 0 < ones <= n or abs(norm_sq - ones) > NORM_MATCH_ATOL:
+        return True
+    farthest = np.zeros((1, n))
+    farthest[0, np.argsort(y, kind="stable")[:ones]] = 1.0
+    return len(_solve_rows(farthest, y, ones)[0]) == 0
+
+
+def _pivot_matches(y_a: np.ndarray, y_b: np.ndarray, pivot: int) -> np.ndarray | None:
+    """Directions that solve y_a and match y_b, as rows: none, one, or the first two.
+
+    A shared u gives x_a - y_a = c (x_b - y_b), and y_b[pivot] is not binary,
+    so the four binary pairs (s, t) at the pivot give the values of c. For
+    each, coordinate k admits every s for which some t gives
+    |(s - y_a[k]) - c (t - y_b[k])| <= PIVOT_RTOL (1 + |c|). That filter is
+    looser than the exact tests, so it only narrows the guesses: those with
+    the popcount round(||y_a||^2) go in blocks through _solve_rows on y_a
+    and _match_mask on y_b, the tests enumeration applies. The search stops
+    at the second distinct match. None when some c admits more than
+    COMBINATION_CAP guesses and fewer than two of those tried matched.
+    """
+    ones = round(float(y_a @ y_a))
+    binary = np.array([[0.0], [1.0]])
+    offsets_a, offsets_b = binary - y_a, binary - y_b  # row s: s - y[k]
+    matched: dict[bytes, np.ndarray] = {}
+    complete = True
+    for c in dict.fromkeys((offsets_a[:, pivot, None] / offsets_b[:, pivot]).ravel().tolist()):
+        deviation = np.abs(offsets_a[:, None] - c * offsets_b[None])  # (s, t, k)
+        admitted = (deviation <= PIVOT_RTOL * (1.0 + abs(c))).any(axis=1)  # (s, k)
+        if not admitted.any(axis=0).all():
+            continue
+        free = np.flatnonzero(admitted.all(axis=0))
+        base = (admitted[1] & ~admitted[0]).astype(float)
+        need = ones - int(base.sum())
+        if not 0 <= need <= len(free):
+            continue
+        complete = complete and math.comb(len(free), need) <= COMBINATION_CAP
+        supports = itertools.islice(itertools.combinations(free.tolist(), need), COMBINATION_CAP)
+        for X in _guess_blocks(base, supports, _BLOCK):
+            solved, directions = _solve_rows(X, y_a, ones)
+            if len(solved) == 0:
+                continue
+            hits = _match_mask(directions, y_b)
+            for row, direction in zip(solved[hits], directions[hits]):
+                matched.setdefault(X[row].tobytes(), direction)
+            if len(matched) >= 2:
+                return np.array(list(matched.values())[:2])
+    if not complete:
+        return None
+    return np.array(list(matched.values())).reshape(-1, y_a.shape[0])
+
+
+def recover(Y) -> RecoveryResult:
     """Recover the reflection dictionary and binary codes from Y = (I-2uu^T) X.
 
-    Enumerates the candidate set of the first informative column and decodes
-    the second one through each candidate (x = H y, H being an involution);
-    under the binary model exactly one candidate decodes it to a binary
-    solution, and that reflection then decodes every column of X directly.
+    Runs in polynomial time. Two informative columns a and b are chosen; a
+    pivot coordinate of b narrows the guesses for a (see _pivot_matches),
+    and each remaining guess must solve a and decode b to a binary solution
+    along the same direction (x = H y, H being an involution). Under the
+    binary model exactly one direction passes, and that reflection then
+    decodes every column of X directly. When the pivot leaves too many
+    guesses, column a's candidates are enumerated instead, which is bounded
+    by ENUMERATION_CAP.
 
     Degenerate columns carry no usable finite candidates and are skipped when
     picking the two columns: zero columns, columns that are themselves binary
     (the dictionary may fix them), and duplicates of the first column, which
-    are still enumerated and decide only when no distinct column exists.
+    are still checked for candidates and decide only when no distinct column
+    exists.
 
     Raises:
         ValueError: fewer than two data columns, or non-finite entries.
-        InstanceTooLargeError: n exceeds the enumeration cap.
+        InstanceTooLargeError: the pivot leaves too many guesses and n
+            exceeds ENUMERATION_CAP.
         NoCommonCandidateError: no reflection is consistent with the chosen
             columns, or decoding does not yield binary codes.
         AmbiguousRecoveryError: several reflections remain (e.g. all columns
@@ -241,15 +312,11 @@ def recover(Y, cap: int = ENUMERATION_CAP) -> RecoveryResult:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("Y must be a matrix")
-    n, p = Y.shape
+    p = Y.shape[1]
     if p < 2:
         raise ValueError("recovery needs at least two data columns")
     if not np.isfinite(Y).all():
         raise ValueError("data has non-finite entries")
-    if n > cap:
-        raise InstanceTooLargeError(
-            f"instance too large: n = {n} exceeds enumeration cap {cap}"
-        )
 
     index_a = index_b = duplicate = None
     for j in range(p):
@@ -258,17 +325,17 @@ def recover(Y, cap: int = ENUMERATION_CAP) -> RecoveryResult:
             continue  # zero column: satisfied by every direction
         if _is_binary(column):
             continue  # possibly fixed by the dictionary; finite candidates mislead
-        if index_a is not None and not np.allclose(column, Y[:, index_a], atol=1e-12):
+        if index_a is not None and not np.all(np.abs(column - y_a) <= duplicate_atol):
             index_b = j
             break
-        # a duplicate is still enumerated: a near-duplicate's norm may rule out all guesses
-        candidate_set = enumerate_candidates(column, cap=cap)
-        if len(candidate_set) == 0:
+        # a duplicate is still checked: a near-duplicate's norm may rule out all guesses
+        if _slice_is_empty(column):
             raise NoCommonCandidateError(
                 f"no common candidate: column {j} admits no reflection under binary codes"
             )
         if index_a is None:
-            index_a, set_a = j, candidate_set
+            index_a, y_a = j, column
+            duplicate_atol = 1e-12 + 1e-5 * np.abs(y_a)  # np.allclose's test
         elif duplicate is None:
             duplicate = j
     index_b = duplicate if index_b is None else index_b
@@ -277,16 +344,22 @@ def recover(Y, cap: int = ENUMERATION_CAP) -> RecoveryResult:
             "ambiguous: fewer than two informative columns in the data"
         )
 
-    matches = np.flatnonzero(_match_mask(set_a.directions, Y[:, index_b]))
-    if len(matches) == 0:
+    y_b = Y[:, index_b]
+    pivot = int(np.argmax(np.minimum(np.abs(y_b), np.abs(y_b - 1.0))))
+    directions = _pivot_matches(y_a, y_b, pivot)
+    if directions is None:  # too many guesses left by the pivot
+        directions = enumerate_candidates(y_a).directions
+        directions = directions[_match_mask(directions, y_b)]
+    if len(directions) == 0:
         raise NoCommonCandidateError(
-            f"no common candidate between columns {index_a} and {index_b}"
+            f"no common candidate between columns {index_a} and {index_b} "
+            f"(pivot coordinate {pivot})"
         )
-    if len(matches) > 1:
+    if len(directions) > 1:
         raise AmbiguousRecoveryError(
-            f"ambiguous: columns {index_a} and {index_b} share {len(matches)} candidates"
+            f"ambiguous: columns {index_a} and {index_b} share at least 2 candidates"
         )
-    u = Reflector(set_a.directions[matches[0]])
+    u = Reflector(directions[0])
 
     decoded = Y - 2.0 * np.outer(u.u, u.u @ Y)  # H is its own inverse
     if not _is_binary(decoded):

@@ -381,15 +381,25 @@ def test_recover_single_column_is_invalid(tmp_path, capsys):
 
 
 def test_recover_above_cap_is_invalid(tmp_path, capsys):
+    # two columns 1e-6 apart with equal norms leave the pivot the whole
+    # binomial slice, C(30, 6) guesses, and n = 30 is past enumeration
+    rng = np.random.default_rng(10)
+    n = 30
+    u = make_reflector(rng.standard_normal(n)).u
+    x = np.zeros(n)
+    x[:6] = 1.0
+    y = x - 2.0 * (u @ x) * u
+    w = rng.standard_normal(n)
+    w -= (w @ y) / (y @ y) * y
     data_path = tmp_path / "y.mat"
-    fileio.save_matrix(data_path, np.zeros((30, 2)))
+    fileio.save_matrix(data_path, np.column_stack([y, y + 1e-6 * w / np.linalg.norm(w)]))
     assert main(["recover", str(data_path)]) == 1
     assert "too large" in capsys.readouterr().err
 
 
-def test_recover_with_raised_cap(tmp_path, capsys):
+@pytest.mark.parametrize("n", [26, 64])
+def test_recover_above_the_enumeration_cap(tmp_path, capsys, n):
     rng = np.random.default_rng(9)
-    n = 26
     u = make_reflector(rng.standard_normal(n)).u
     H = np.eye(n) - 2.0 * np.outer(u, u)
     X = np.zeros((n, 2))
@@ -397,8 +407,18 @@ def test_recover_with_raised_cap(tmp_path, capsys):
     X[:2, 1] = 1.0
     data_path = tmp_path / "y.mat"
     fileio.save_matrix(data_path, H @ X)
-    assert main(["recover", str(data_path), "--max-n", "26"]) == 0
-    capsys.readouterr()
+    assert main(["recover", str(data_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed_X = np.array([line.split() for line in lines[2 : 2 + n]], dtype=int)
+    np.testing.assert_array_equal(printed_X, X.astype(int))
+
+
+def test_recover_has_no_max_n_flag(tmp_path, capsys):
+    data_path = tmp_path / "y.mat"
+    fileio.save_matrix(data_path, np.ones((4, 2)) * 0.5)
+    with pytest.raises(SystemExit):
+        main(["recover", str(data_path), "--max-n", "26"])
+    assert "unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
 def test_bench_command_runs_on_small_sizes(capsys):

@@ -20,7 +20,7 @@ from hhfactor import (
     same_reflector,
     solve_column,
 )
-from hhfactor.dictlearn import DECODE_ATOL, FIXED_ATOL, MATCH_ATOL
+from hhfactor.dictlearn import DECODE_ATOL, FIXED_ATOL, MATCH_ATOL, _is_binary, _match_mask
 
 U_TRUE = np.array([2 / 3, 1 / 3, 2 / 3])
 
@@ -242,9 +242,31 @@ def test_recover_requires_two_columns():
         recover(np.ones((4, 1)))
 
 
+def pivot_inconclusive_pair(rng, n, ones):
+    """Two columns 1e-6 apart with equal norms: every coordinate admits both bits.
+
+    The pivot's c is then about 1, so the whole binomial slice passes the
+    pivot filter, while no guess solves both columns along one direction.
+    """
+    u = make_reflector(rng.standard_normal(n)).u
+    x = np.zeros(n)
+    x[:ones] = 1.0
+    y = x - 2.0 * (u @ x) * u
+    w = rng.standard_normal(n)
+    w -= (w @ y) / (y @ y) * y
+    return np.column_stack([y, y + 1e-6 * w / np.linalg.norm(w)])
+
+
 def test_recover_refuses_large_instances():
-    with pytest.raises(InstanceTooLargeError):
-        recover(np.zeros((30, 2)))
+    # the pivot leaves C(30, 6) guesses, past the cap, and n exceeds what
+    # enumeration accepts
+    Y = pivot_inconclusive_pair(np.random.default_rng(39), 30, 6)
+    with pytest.raises(InstanceTooLargeError, match="too large"):
+        recover(Y)
+    # the same shape within the enumeration cap is decided by enumeration
+    Y = pivot_inconclusive_pair(np.random.default_rng(39), 20, 6)
+    with pytest.raises(NoCommonCandidateError, match="no common candidate"):
+        recover(Y)
 
 
 def test_recover_skips_degenerate_columns():
@@ -471,31 +493,179 @@ def test_candidate_arrays_are_read_only_and_match_the_tuples(worked_Y):
         assert guess == tuple(candidate_set.codes[i])
 
 
-def count_enumerations(monkeypatch):
-    calls = []
+def enumeration_recover(Y):
+    """Oracle: recover by enumerating the first chosen column's binomial slice.
 
-    def counted(y, cap):
-        calls.append(np.array(y))
-        return enumerate_candidates(y, cap=cap)
+    Column selection as in recover, with every candidate column enumerated;
+    the second column is decoded through each candidate of the first.
+    """
+    Y = np.asarray(Y, dtype=float)
+    index_a = index_b = duplicate = None
+    for j in range(Y.shape[1]):
+        column = Y[:, j]
+        if np.linalg.norm(column) <= FIXED_ATOL or _is_binary(column):
+            continue
+        if index_a is not None and not np.allclose(column, Y[:, index_a], atol=1e-12):
+            index_b = j
+            break
+        candidate_set = enumerate_candidates(column)
+        if len(candidate_set) == 0:
+            raise NoCommonCandidateError(f"column {j} admits no reflection")
+        if index_a is None:
+            index_a, set_a = j, candidate_set
+        elif duplicate is None:
+            duplicate = j
+    index_b = duplicate if index_b is None else index_b
+    if index_b is None:
+        raise AmbiguousRecoveryError("fewer than two informative columns")
+    matches = np.flatnonzero(_match_mask(set_a.directions, Y[:, index_b]))
+    if len(matches) == 0:
+        raise NoCommonCandidateError("no common candidate")
+    if len(matches) > 1:
+        raise AmbiguousRecoveryError(f"{len(matches)} common candidates")
+    u = Reflector(set_a.directions[matches[0]])
+    decoded = Y - 2.0 * np.outer(u.u, u.u @ Y)
+    if not _is_binary(decoded):
+        raise NoCommonCandidateError("decoded codes are not binary")
+    X = np.rint(decoded)
+    return RecoveryResult(u, X.astype(int), float(np.linalg.norm(X - 2.0 * np.outer(u.u, u.u @ X) - Y, "fro")))
 
-    monkeypatch.setattr(dictlearn, "enumerate_candidates", counted)
-    return calls
+
+def assert_same_outcome(Y, label):
+    """recover and the enumeration oracle agree bit for bit; returns (verdict, X)."""
+    verdict, u, X = recovery_outcome(recover, Y)
+    expected_verdict, expected_u, expected_X = recovery_outcome(enumeration_recover, Y)
+    assert verdict == expected_verdict, label
+    if verdict == "unique":
+        np.testing.assert_array_equal(u, expected_u)
+        np.testing.assert_array_equal(X, expected_X)
+    return verdict, X
 
 
-def test_recover_enumerates_one_of_two_distinct_columns(monkeypatch):
-    calls = count_enumerations(monkeypatch)
-    u, X, Y = random_instance(np.random.default_rng(37), 9, 2)
+def farthest_distance(y, ones):
+    """||x - y|| for the guess of the slice farthest from y: ones on its smallest entries."""
+    x = np.zeros_like(y)
+    x[np.argsort(y, kind="stable")[:ones]] = 1.0
+    return float(np.linalg.norm(x - y))
+
+
+def at_emptiness_boundary(y, ones, factor):
+    """y rescaled so that its norm defect is factor times the emptiness boundary.
+
+    The slice is empty unless some guess re-substitutes within SOLUTION_ATOL,
+    that is unless | ||y||^2 - ones | <= SOLUTION_ATOL * (farthest distance).
+    """
+    defect = factor * dictlearn.SOLUTION_ATOL * farthest_distance(y, ones)
+    return y * np.sqrt((ones + defect) / float(y @ y))
+
+
+def test_recover_agrees_with_enumeration_oracle():
+    rng = np.random.default_rng(40)
+    verdicts = {}
+    for index in range(2600):
+        kind = SWEEP_KINDS[index % len(SWEEP_KINDS)]
+        n = int(rng.integers(2, 13))
+        verdict, _ = assert_same_outcome(sweep_instance(rng, kind, n), (index, kind, n))
+        verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    assert set(verdicts) == {"unique", "AmbiguousRecoveryError", "NoCommonCandidateError"}
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def test_recover_agrees_with_enumeration_at_the_emptiness_boundary():
+    rng = np.random.default_rng(41)
+    verdicts = {}
+    emptiness = {True: 0, False: 0}
+    for index in range(300):
+        n = int(rng.integers(3, 13))
+        u, X, Y = random_instance(rng, n, int(rng.integers(2, 4)))
+        j = int(rng.integers(0, 2))
+        ones = int(X[:, j].sum())
+        # within 1% of the boundary on both sides, norm above and below ones
+        factor = float(rng.choice([-1.0, 1.0]) * (1.0 + rng.uniform(-0.01, 0.01)))
+        Y[:, j] = at_emptiness_boundary(Y[:, j], ones, factor)
+        empty = dictlearn._slice_is_empty(Y[:, j])
+        assert empty == (len(enumerate_candidates(Y[:, j])) == 0), (index, n, factor)
+        emptiness[empty] += 1
+        verdict, _ = assert_same_outcome(Y, (index, n, factor))
+        verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    assert min(emptiness.values()) >= 50, emptiness
+    assert "unique" in verdicts and "NoCommonCandidateError" in verdicts, verdicts
+
+
+def test_recover_on_benchmark_shaped_instances_never_enumerates(monkeypatch):
+    """Planted n 12..16, four columns, popcount 2..6, as the recover-binary workload draws them."""
+    enumerations, match_calls = [], []
+
+    def counted_enumeration(y, cap=dictlearn.ENUMERATION_CAP):
+        enumerations.append(y)
+        return enumerate_candidates(y, cap)
+
+    def counted_match(U, y):
+        match_calls.append(U.shape[0])
+        return _match_mask(U, y)
+
+    monkeypatch.setattr(dictlearn, "enumerate_candidates", counted_enumeration)
+    monkeypatch.setattr(dictlearn, "_match_mask", counted_match)
+    rng = np.random.default_rng(42)
+    cells = itertools.product(range(12, 17), range(2, 7), ("unique", "unique", "identical", "noninteger"))
+    expected = {"unique": "unique", "identical": "AmbiguousRecoveryError", "noninteger": "NoCommonCandidateError"}
+    verdicts = {}
+    for index, (n, ones, kind) in enumerate(list(cells) * 3):
+        u = make_reflector(rng.standard_normal(n)).u
+        columns = 1 if kind == "identical" else 4
+        supports = []
+        while len(supports) < columns:
+            support = sorted(rng.choice(n, size=ones, replace=False).tolist())
+            if support not in supports:
+                supports.append(support)
+        X = np.zeros((n, 4), dtype=int)
+        for j in range(4):
+            X[supports[j % columns], j] = 1
+        Y = X - 2.0 * np.outer(u, u @ X)
+        if kind == "noninteger":
+            Y[:, 0] *= np.sqrt((ones + 0.5) / ones)  # squared norm ones + 1/2
+        verdict, found_X = assert_same_outcome(Y, (index, n, ones, kind))
+        assert verdict == expected[kind], (index, n, ones, kind)
+        if verdict == "unique":
+            np.testing.assert_array_equal(found_X, X)
+        verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    assert enumerations == []
+    assert len(match_calls) >= 1
+    assert min(verdicts.values()) >= 75, verdicts
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_recover_planted_instances_far_beyond_enumeration(n):
+    rng = np.random.default_rng(n)
+    u = make_reflector(rng.standard_normal(n))
+    X = (rng.random((n, 3)) < 0.3).astype(int)
+    Y = X - 2.0 * np.outer(u.u, u.u @ X)
     result = recover(Y)
-    assert same_reflector(result.u, u)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], Y[:, 0])
+    assert same_reflector(result.u, u, 1e-12)
+    np.testing.assert_array_equal(result.X, X)
+    assert result.residual <= 1e-8 * np.sqrt(Y.size)
 
 
-def test_recover_enumerates_both_identical_columns(monkeypatch, worked_Y):
-    calls = count_enumerations(monkeypatch)
-    with pytest.raises(AmbiguousRecoveryError):
-        recover(np.column_stack([worked_Y[:, 0]] * 2))
-    assert len(calls) == 2
+def test_recover_ends_identical_columns_after_one_block(monkeypatch):
+    calls = []
+    solve_rows = dictlearn._solve_rows
+
+    def counted(X, y, ones):
+        calls.append(X.shape[0])
+        return solve_rows(X, y, ones)
+
+    monkeypatch.setattr(dictlearn, "_solve_rows", counted)
+    rng = np.random.default_rng(43)
+    n = 40
+    u = make_reflector(rng.standard_normal(n)).u
+    x = np.zeros(n)
+    x[:8] = 1.0  # C(40, 8) guesses all pass the pivot filter
+    y = x - 2.0 * (u @ x) * u
+    with pytest.raises(AmbiguousRecoveryError, match="share at least 2 candidates"):
+        recover(np.column_stack([y, y]))
+    # the farthest guess of each column, then one block of the pivot path:
+    # solved on the first column and, inside _match_mask, on the second
+    assert calls == [1, 1, dictlearn._BLOCK, dictlearn._BLOCK]
 
 
 # ------------------------------------------------------ non_uniqueness_example
