@@ -80,10 +80,14 @@ def _decompose_one(matrix, max_m, eps, trace_path, out_path):
 
 
 def _run_sweep(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     m_list = _parse_int_list(args.m_list) if args.m_list else SWEEP_M_LIST
     m_list = tuple(m for m in m_list if m <= args.n)
+    if not m_list:
+        raise ValueError(f"no sweep m is at most n={args.n}")
+    if len(set(m_list)) < len(m_list):  # each m names one output file
+        raise ValueError(f"sweep m-list repeats a value: {','.join(map(str, m_list))}")
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     def run_cell(cell_index_m):
         index, m = cell_index_m

@@ -15,9 +15,13 @@ An orthogonal matrix is normal, so T is block diagonal up to roundoff, with
 Computations, 7.4). The symmetric part of T is then block diagonal too, and
 every greedy step reduces to one block: its bottom eigenvector is the
 reflector, and reflecting that block's rows of T keeps the block structure.
-For orthogonal W, (W - I)^T (W - I) = 2(I - sym W), so the singular values
-of W - I are sqrt(2(1 - mu)) over the eigenvalues mu of sym W: the blocks'
-eigenvalues give the fixed-subspace dimension as well.
+The greedy therefore keeps only the diagonal blocks, as 2-by-2 squares (a
+1-by-1 block t padded to diag(t, 1)). A reflection of a block's rows keeps
+the norm of their entries outside the block, so the Frobenius norm of T off
+its diagonal blocks is a constant part of the residual. For orthogonal W,
+(W - I)^T (W - I) = 2(I - sym W), so the singular values of W - I are
+sqrt(2(1 - mu)) over the eigenvalues mu of sym W: the blocks' eigenvalues
+give the fixed-subspace dimension as well.
 
 Blocks never interact, so a block's states after one, two, ... steps on it
 do not depend on what happened to the other blocks. Two steps clear a
@@ -94,7 +98,7 @@ def _peel(rows: np.ndarray, directions: np.ndarray) -> None:
     rows[i] a whole working matrix and a_i the bottom eigenvector of its
     symmetric part, this is one greedy step, and ||I - rows[i]||_F afterwards
     is the distance between the old working matrix and the reflection. The
-    greedy passes the rows of its Schur blocks, each with the bottom
+    greedy passes its (K, 2, 2) stack of Schur blocks, each with the bottom
     eigenvector of its own block's symmetric part.
     """
     rows -= 2.0 * directions[:, :, None] * (directions[:, None, :] @ rows)
@@ -145,63 +149,47 @@ def _schur_blocks(T: np.ndarray) -> list[slice]:
     return blocks
 
 
-class _BlockRows(NamedTuple):
-    """The rows of T, and of I, stacked per Schur block as (K, 2, p) arrays.
+def _diagonal_blocks(T: np.ndarray):
+    """T's diagonal blocks as a (K, 2, 2) stack, and the norm of T outside them.
 
-    A 1-by-1 block's second row is zero in both stacks, so it adds nothing to
-    the block's sums, and a reflection along (1, 0) keeps it zero. columns[k]
-    holds block k's column indices (the one column twice for a 1-by-1 block).
+    A 1-by-1 block t is padded to diag(t, 1): the pad adds nothing to the
+    block's residual or rank, eigh returns t and (+-1, 0) for it exactly
+    when t <= 1, and a reflection along (+-1, 0) keeps it. columns[k] holds
+    block k's column indices (the one column twice for a 1-by-1 block).
+    Reflecting a block's rows of T moves their entries outside the block
+    among themselves, so the Frobenius norm of those entries is fixed.
     """
-
-    rows: np.ndarray
-    identity: np.ndarray
-    columns: np.ndarray
-    pairs: np.ndarray  # which blocks are 2-by-2
-
-    @classmethod
-    def of(cls, T: np.ndarray, blocks: list[slice]) -> _BlockRows:
-        first = np.array([block.start for block in blocks], dtype=int)
-        pairs = np.array([block.stop - block.start == 2 for block in blocks], dtype=bool)
-        rows = np.zeros((len(blocks), 2, T.shape[0]))
-        identity = np.zeros_like(rows)
-        eye = np.eye(T.shape[0])
-        rows[:, 0], identity[:, 0] = T[first], eye[first]
-        rows[pairs, 1], identity[pairs, 1] = T[first[pairs] + 1], eye[first[pairs] + 1]
-        columns = first[:, None] + np.outer(pairs, [0, 1])
-        return cls(rows, identity, columns, pairs)
+    blocks = _schur_blocks(T)
+    first = np.array([block.start for block in blocks], dtype=int)
+    pairs = np.array([block.stop - block.start == 2 for block in blocks], dtype=bool)
+    columns = first[:, None] + np.outer(pairs, [0, 1])
+    squares = T[columns[:, :, None], columns[:, None, :]]
+    squares[~pairs, 0, 1] = 0.0
+    squares[~pairs, 1] = [0.0, 1.0]
+    outside = T.copy()
+    outside[columns[:, :, None], columns[:, None, :]] = 0.0
+    return squares, columns, pairs, float(np.linalg.norm(outside, "fro"))
 
 
 class _Round(NamedTuple):
     """Every block's state after the same number of greedy steps on it."""
 
     lambda_min: list[float]  # bottom eigenvalue of the block's symmetric part
-    directions: np.ndarray   # (K, 2): its eigenvector, (1, 0) for a 1-by-1 block
-    row_norms: list[float]   # squared Frobenius norm of the block's rows of I - T
+    directions: np.ndarray   # (K, 2): its eigenvector
+    norms: list[float]       # squared Frobenius norm of I - the block
     diagonals: list[float]   # the block's diagonal sum
     moving: list[int]        # the block's share of the rank of W - I
 
 
-def _block_round(blocks: _BlockRows, n: int) -> _Round:
-    """Record the current state of every block, with one stacked eigensolve.
-
-    A 1-by-1 block's eigenvalue is its entry; its padded second eigenvalue 1
-    adds nothing to the rank of W - I.
-    """
-    squares = np.take_along_axis(blocks.rows, blocks.columns[:, None, :], axis=2)
-    eigenvalues = np.ones((len(squares), 2))
-    eigenvalues[:, 0] = squares[:, 0, 0]
-    directions = np.zeros((len(squares), 2))
-    directions[:, 0] = 1.0
-    rotations = squares[blocks.pairs]
-    mu, vectors = np.linalg.eigh((rotations + rotations.transpose(0, 2, 1)) / 2.0)
-    eigenvalues[blocks.pairs] = mu
-    directions[blocks.pairs] = vectors[:, :, 0]
+def _block_round(squares: np.ndarray, n: int) -> _Round:
+    """Record the current state of every block, with one stacked eigensolve."""
+    mu, vectors = np.linalg.eigh((squares + squares.transpose(0, 2, 1)) / 2.0)
     return _Round(
-        lambda_min=eigenvalues[:, 0].tolist(),
-        directions=directions,
-        row_norms=np.sum((blocks.identity - blocks.rows) ** 2, axis=(1, 2)).tolist(),
-        diagonals=(squares[:, 0, 0] + squares[:, 1, 1]).tolist(),
-        moving=_moving_rank(eigenvalues, n).tolist(),
+        lambda_min=mu[:, 0].tolist(),
+        directions=vectors[:, :, 0],
+        norms=np.sum((np.eye(2) - squares) ** 2, axis=(1, 2)).tolist(),
+        diagonals=np.trace(squares, axis1=1, axis2=2).tolist(),
+        moving=_moving_rank(mu, n).tolist(),
     )
 
 
@@ -243,25 +231,27 @@ def greedy_decompose(
 
     One n-by-n eigensolve of sym(V) yields the moving subspace Q and
     C = Q^T V Q, and one real Schur factorization C = Z T Z^T follows. The
-    greedy runs on T, whose symmetric part is block diagonal with blocks of
-    size at most 2; a step on a block reflects that block's rows of T by its
-    bottom eigenvector a and lifts a to the n-dimensional factor
-    (QZ)[:, block] a. A step touches only its block, so the steps are taken
-    in three rounds: round r reflects every block for the r-th time, with
-    one stacked eigensolve and one stacked reflection, and records per block
-    the bottom eigenvalue, the squared norm of its rows of I - T_w, its
-    diagonal sum and its count of singular values of W - I above the rank
-    tolerance. The plan, fixed at entry, holds two steps per rotation block
-    and one per -1 block in the order of always taking the block with the
-    smallest bottom eigenvalue, ties going to the first block. A scalar loop
-    walks it until the residual is within eps, the budget is spent or the
-    plan ends, so a cleared block is never stepped, and builds each trace
-    row from the recorded sums: the residual is sqrt(sum of row norms +
-    rest^2), rest being the part of V - I outside the compression, because
-    the product is orthogonal and ||product - V||_F = ||I - W||_F; trace =
-    (tr V - tr T) + the diagonal sums, and dim_e1 = n - the counts. The
-    factors are lifted with one product QZ A. When the dropped part exceeds
-    eps/2, or nothing is dropped, Q = I.
+    greedy runs on the diagonal blocks of T, a (K, 2, 2) stack of squares
+    with each 1-by-1 block t padded to diag(t, 1); a step on a block
+    reflects its square by its bottom eigenvector a and lifts a to the
+    n-dimensional factor (QZ)[:, block] a. A step touches only its block, so
+    the steps are taken in three rounds: round r reflects every square for
+    the r-th time, with one stacked eigensolve and one stacked reflection,
+    and records per block the bottom eigenvalue, the squared norm of I minus
+    the square, its diagonal sum and its count of singular values of W - I
+    above the rank tolerance. The plan, fixed at entry, holds two steps per
+    rotation block and one per -1 block in the order of always taking the
+    block with the smallest bottom eigenvalue, ties going to the first
+    block. A scalar loop walks it until the residual is within eps, the
+    budget is spent or the plan ends, so a cleared block is never stepped,
+    and builds each trace row from the recorded sums: the residual is
+    sqrt(sum of square norms + rest^2), because the product is orthogonal
+    and ||product - V||_F = ||I - W||_F. rest joins the part of V - I
+    outside the compression with the norm of T off its diagonal blocks,
+    which no reflection of a block's rows changes. trace = (tr V - tr T -
+    the pads) + the diagonal sums, and dim_e1 = n - the counts. The factors
+    are lifted with one product QZ A. When the dropped part exceeds eps/2,
+    or nothing is dropped, Q = I.
     """
     M = check_orthogonal(V)
     n = M.shape[0]
@@ -275,23 +265,24 @@ def greedy_decompose(
     basis, C, rest = _moving_subspace(M, symmetric_eigendecomposition(symmetric_part(M)), eps)
     T, Z = schur(C, output="real")
     lift = Z if basis is None else basis @ Z
-    blocks = _BlockRows.of(T, _schur_blocks(T))
-    rounds = [_block_round(blocks, n)]
+    squares, columns, pairs, outside = _diagonal_blocks(T)
+    rest = math.hypot(rest, outside)
+    rounds = [_block_round(squares, n)]
     for _ in range(2):  # two steps clear a rotation block, one a -1 block
-        _peel(blocks.rows, rounds[-1].directions)
-        rounds.append(_block_round(blocks, n))
+        _peel(squares, rounds[-1].directions)
+        rounds.append(_block_round(squares, n))
     first = rounds[0].lambda_min
-    counts = [2 if pair else int(lam < 0.0) for pair, lam in zip(blocks.pairs.tolist(), first)]
+    counts = [2 if pair else int(lam < 0.0) for pair, lam in zip(pairs.tolist(), first)]
     # a block whose next lambda_min is lower stays the argmin, so the argmin
     # order sorts each step by the running max of its block's lambda_min
     steps = [(k, r) for k, count in enumerate(counts) for r in range(count)]
     plan = sorted((max(first[k], rounds[r].lambda_min[k]), k, r) for k, r in steps)[: min(max_m, n)]
-    row_norms = list(rounds[0].row_norms)
+    norms = list(rounds[0].norms)
     diagonals = list(rounds[0].diagonals)
     moving = sum(rounds[0].moving)
-    dropped_trace = float(np.trace(M) - np.trace(T))
+    dropped_trace = float(np.trace(M) - np.trace(T) - np.count_nonzero(~pairs))  # minus the pads
     rows: list[TraceRow] = []  # row j: the step plan[j]
-    residual = math.hypot(math.sqrt(math.fsum(row_norms)), rest)
+    residual = math.hypot(math.sqrt(math.fsum(norms)), rest)
     while True:
         working_trace = dropped_trace + math.fsum(diagonals)
         dim_e1 = n - moving
@@ -299,10 +290,10 @@ def greedy_decompose(
             break
         _, k, r = plan[len(rows)]
         after = rounds[r + 1]
-        row_norms[k] = after.row_norms[k]
+        norms[k] = after.norms[k]
         diagonals[k] = after.diagonals[k]
         moving += after.moving[k] - rounds[r].moving[k]
-        residual = math.hypot(math.sqrt(math.fsum(row_norms)), rest)
+        residual = math.hypot(math.sqrt(math.fsum(norms)), rest)
         rows.append(TraceRow(len(rows), residual, rounds[r].lambda_min[k], working_trace, dim_e1))
 
     # row j of embedded is factor j's direction in the coordinates of T
@@ -310,7 +301,7 @@ def greedy_decompose(
     block_of, round_of = taken.T
     directions = np.stack([state.directions for state in rounds])[round_of, block_of]
     embedded = np.zeros((len(rows), T.shape[0]))
-    np.add.at(embedded, (np.arange(len(rows))[:, None], blocks.columns[block_of]), directions)
+    np.add.at(embedded, (np.arange(len(rows))[:, None], columns[block_of]), directions)
 
     if residual <= eps:
         termination = "converged"

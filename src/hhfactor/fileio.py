@@ -117,6 +117,7 @@ def save_trace_csv(path, trace: DecompositionTrace) -> None:
 
 
 def load_trace_csv(path) -> list[TraceRow]:
+    """Read a trace CSV; a bad header, field count or non-finite value raises ValueError."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -124,13 +125,12 @@ def load_trace_csv(path) -> list[TraceRow]:
             raise ValueError(f"bad trace header: {header!r}")
         rows = []
         for record in reader:
-            rows.append(
-                TraceRow(
-                    iteration=int(record[0]),
-                    residual=float(record[1]),
-                    lambda_min=float(record[2]),
-                    trace=float(record[3]),
-                    dim_e1=int(record[4]),
+            if len(record) != len(TRACE_FIELDS):
+                raise ValueError(
+                    f"trace row {len(rows)} has {len(record)} fields, expected {len(TRACE_FIELDS)}"
                 )
-            )
+            values = [float(value) for value in record[1:4]]
+            if not np.isfinite(values).all():
+                raise ValueError(f"trace row {len(rows)} has non-finite values")
+            rows.append(TraceRow(int(record[0]), *values, int(record[4])))
     return rows

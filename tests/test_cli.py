@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +34,21 @@ def test_synth_writes_deterministic_files(tmp_path):
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_text() == second.read_text()
+
+
+def test_package_runs_as_a_module(tmp_path):
+    # python -m hhfactor works from a checkout, without installing the package
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = tmp_path / "v.mat"
+    done = subprocess.run(
+        [sys.executable, "-m", "hhfactor", "synth", "--n", "6", "--m", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"wrote {out}" in done.stdout
+    assert fileio.load_matrix(out).shape == (6, 6)
 
 
 def test_synth_factors_match_matrix(tmp_path):
@@ -159,6 +179,21 @@ def test_sweep_writes_trace_per_cell(tmp_path, capsys):
         assert rows[-1].residual <= 0.05
         for earlier, later in zip(rows, rows[1:]):
             assert abs(later.trace - earlier.trace + 2.0 * earlier.lambda_min) <= 1e-8 * 24
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [(["--n", "12", "--m-list", "3,3"], "repeats"), (["--n", "0"], "at most n=0")],
+    ids=["repeated-m", "no-m-within-n"],
+)
+def test_sweep_rejects_bad_m_lists(tmp_path, capsys, extra, message):
+    outdir = tmp_path / "sweep"
+    args = ["decompose", "--sweep", "gaussian", "--outdir", str(outdir), "--jobs", "2"]
+    code = main(args + extra)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not outdir.exists()  # refused before the first cell ran
 
 
 def test_sweep_requires_outdir(capsys):

@@ -653,6 +653,24 @@ def test_trace_row_bookkeeping():
     assert trace.final_dim_e1 == n
 
 
+def test_trace_residuals_match_prefixes_on_perturbed_inputs():
+    # a 2e-8 perturbation leaves T about 1e-8 off its diagonal blocks, which
+    # every residual must carry; ||P - V||_F is exact even for V not orthogonal
+    n = 24
+    for m in (6, 13, 24):
+        for seed in range(3):
+            V, _ = synthesize(GeneratorSpec("gaussian", n=n, m=m, seed=900 + seed))
+            G = np.random.default_rng(seed).standard_normal((n, n))
+            V = V + 2e-8 * G / np.linalg.norm(G)
+            assert np.linalg.norm(V.T @ V - np.eye(n)) > 1e-8
+            for eps in (1e-6, 1e-10):
+                product, trace = greedy_decompose(V, eps=eps)
+                for j, row in enumerate(trace.rows):
+                    prefix = HouseholderProduct(n, product.directions[: j + 1])
+                    exact = np.linalg.norm(materialize(prefix) - V, "fro")
+                    assert abs(row.residual - exact) <= 1e-12, (m, seed, eps, j)
+
+
 @pytest.mark.parametrize("case", TINY_ANGLE_INSTANCES, ids=[c[0] for c in TINY_ANGLE_INSTANCES])
 def test_fixed_dimension_changes_by_exactly_one_per_step(case):
     # a plane turned by less than the rank tolerance counts as fixed, so its

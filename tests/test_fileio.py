@@ -170,8 +170,21 @@ def test_trace_csv_roundtrip_and_recursion(tmp_path):
         assert later.dim_e1 == earlier.dim_e1 + 1
 
 
-def test_trace_csv_rejects_bad_header(tmp_path):
+TRACE_HEADER = "iter,residual,lambda_min,trace,dim_e1\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a,b\n", "header"),
+        (TRACE_HEADER + "0,1.0,-1.0\n", "3 fields"),
+        (TRACE_HEADER + "0,1.0,-1.0,2.0,3,4\n", "6 fields"),
+        (TRACE_HEADER + "0,1.0,-1.0,2.0,3\n1,nan,-1.0,2.0,4\n", "row 1 has non-finite"),
+    ],
+    ids=["bad-header", "short-row", "long-row", "nan-row"],
+)
+def test_trace_csv_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "trace.csv"
-    path.write_text("a,b\n")
-    with pytest.raises(ValueError, match="header"):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         fileio.load_trace_csv(path)
