@@ -81,6 +81,8 @@ def _decompose_one(matrix, max_m, eps, trace_path, out_path):
 
 def _run_sweep(args) -> int:
     m_list = _parse_int_list(args.m_list) if args.m_list else SWEEP_M_LIST
+    if min(m_list, default=1) < 1:  # checked before any cell writes its file
+        raise ValueError(f"sweep m must be at least 1: {','.join(map(str, m_list))}")
     m_list = tuple(m for m in m_list if m <= args.n)
     if not m_list:
         raise ValueError(f"no sweep m is at most n={args.n}")
@@ -265,3 +267,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

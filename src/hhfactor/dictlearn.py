@@ -5,16 +5,15 @@ preserve norms, so ||y||^2 must equal the popcount of x; for a guessed x with
 matching norm the direction is pinned down (up to sign) as (x - y)/||x - y||.
 Every guess of a column's binomial slice may be valid, so one column alone
 has exponentially many candidates; enumerate_candidates lists them and
-refuses instances above a size cap. Recovery from two columns is polynomial:
-both share u, so x_a - y_a = c (x_b - y_b) for one scalar c. One pivot
-coordinate of y_b leaves at most four values of c, and each value fixes the
-guess for y_a coordinate by coordinate, except where |c| is near 1.
+refuses instances above a size cap. Recovery from two columns is polynomial
+and never enumerates: both share u, so x_a - y_a = c (x_b - y_b) for one
+scalar c. One pivot coordinate of y_b leaves at most four values of c; each
+fixes the guess for y_a, or, for |c| near 1, leaves two guesses to decide.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,10 +28,8 @@ MATCH_ATOL = 1e-8        # +-equivalence threshold when matching candidates
 DECODE_ATOL = 1e-6       # how far decoded codes may sit from {0, 1}
 ENUMERATION_CAP = 24     # brute force is exponential; refuse larger instances
 PIVOT_RTOL = 1e-5        # pivot filter per coordinate, looser than the exact tests
-COMBINATION_CAP = 4096   # guesses tried per pivot value of c before enumerating
 
 _CHUNK = 1 << 15         # supports solved per vectorized block
-_BLOCK = 64              # pivot guesses solved per vectorized block
 
 
 class RecoveryError(ValueError):
@@ -238,61 +235,61 @@ def _slice_is_empty(y: np.ndarray) -> bool:
     return len(_solve_rows(farthest, y, ones)[0]) == 0
 
 
-def _pivot_matches(y_a: np.ndarray, y_b: np.ndarray, pivot: int) -> np.ndarray | None:
-    """Directions that solve y_a and match y_b, as rows: none, one, or the first two.
+def _pivot_matches(y_a: np.ndarray, y_b: np.ndarray, pivot: int) -> np.ndarray:
+    """Distinct directions that solve y_a and match y_b, as rows; two or more mean ambiguity.
 
     A shared u gives x_a - y_a = c (x_b - y_b), and y_b[pivot] is not binary,
     so the four binary pairs (s, t) at the pivot give the values of c. For
     each, coordinate k admits every s for which some t gives
-    |(s - y_a[k]) - c (t - y_b[k])| <= PIVOT_RTOL (1 + |c|). That filter is
-    looser than the exact tests, so it only narrows the guesses: those with
-    the popcount round(||y_a||^2) go in blocks through _solve_rows on y_a
-    and _match_mask on y_b, the tests enumeration applies. The search stops
-    at the second distinct match. None when some c admits more than
-    COMBINATION_CAP guesses and fewer than two of those tried matched.
+    |(s - y_a[k]) - c (t - y_b[k])| <= PIVOT_RTOL (1 + |c|). A coordinate
+    admitting both bits (only for |c| near 1) is free; the guesses set any
+    free ones that reach the popcount round(||y_a||^2). Column a's residual,
+    | ||y_a||^2 - popcount | / ||x - y_a|| (see _slice_is_empty), and at
+    c = +-1 column b's tests, which see ||x_a - y_a|| / |c|, pass first for
+    the guesses farthest from y_a: free ones on the smallest entries of y_a,
+    then one swap, the largest chosen entry for the smallest unchosen one.
+    These two per c decide, all through one _solve_rows on y_a and one
+    _match_mask on y_b, the tests enumeration applies.
     """
+    n = y_a.shape[0]
     ones = round(float(y_a @ y_a))
     binary = np.array([[0.0], [1.0]])
     offsets_a, offsets_b = binary - y_a, binary - y_b  # row s: s - y[k]
-    matched: dict[bytes, np.ndarray] = {}
-    complete = True
+    guesses = []
     for c in dict.fromkeys((offsets_a[:, pivot, None] / offsets_b[:, pivot]).ravel().tolist()):
         deviation = np.abs(offsets_a[:, None] - c * offsets_b[None])  # (s, t, k)
         admitted = (deviation <= PIVOT_RTOL * (1.0 + abs(c))).any(axis=1)  # (s, k)
         if not admitted.any(axis=0).all():
             continue
         free = np.flatnonzero(admitted.all(axis=0))
-        base = (admitted[1] & ~admitted[0]).astype(float)
-        need = ones - int(base.sum())
+        farthest = (admitted[1] & ~admitted[0]).astype(float)  # fixed ones only, so far
+        need = ones - int(farthest.sum())
         if not 0 <= need <= len(free):
             continue
-        complete = complete and math.comb(len(free), need) <= COMBINATION_CAP
-        supports = itertools.islice(itertools.combinations(free.tolist(), need), COMBINATION_CAP)
-        for X in _guess_blocks(base, supports, _BLOCK):
-            solved, directions = _solve_rows(X, y_a, ones)
-            if len(solved) == 0:
-                continue
-            hits = _match_mask(directions, y_b)
-            for row, direction in zip(solved[hits], directions[hits]):
-                matched.setdefault(X[row].tobytes(), direction)
-            if len(matched) >= 2:
-                return np.array(list(matched.values())[:2])
-    if not complete:
-        return None
-    return np.array(list(matched.values())).reshape(-1, y_a.shape[0])
+        order = free[np.argsort(y_a[free], kind="stable")]
+        farthest[order[:need]] = 1.0
+        guesses.append(farthest)
+        if 0 < need < len(free):
+            second = farthest.copy()
+            second[order[[need - 1, need]]] = (0.0, 1.0)
+            guesses.append(second)
+    X = np.array(guesses).reshape(-1, n)
+    solved, directions = _solve_rows(X, y_a, ones)
+    hits = _match_mask(directions, y_b)
+    distinct = dict(zip((X[row].tobytes() for row in solved[hits]), directions[hits]))
+    return np.array(list(distinct.values())).reshape(-1, n)
 
 
 def recover(Y) -> RecoveryResult:
     """Recover the reflection dictionary and binary codes from Y = (I-2uu^T) X.
 
-    Runs in polynomial time. Two informative columns a and b are chosen; a
-    pivot coordinate of b narrows the guesses for a (see _pivot_matches),
-    and each remaining guess must solve a and decode b to a binary solution
-    along the same direction (x = H y, H being an involution). Under the
-    binary model exactly one direction passes, and that reflection then
-    decodes every column of X directly. When the pivot leaves too many
-    guesses, column a's candidates are enumerated instead, which is bounded
-    by ENUMERATION_CAP.
+    Runs in polynomial time and never enumerates. Two informative columns a
+    and b are chosen; a pivot coordinate of b gives at most four values of c
+    in x_a - y_a = c (x_b - y_b), and for each the two guesses for a
+    farthest from y_a decide (see _pivot_matches): a guess must solve a and
+    decode b to a binary solution along the same direction (x = H y, H
+    being an involution). Under the binary model exactly one direction
+    passes, and that reflection then decodes every column of X directly.
 
     Degenerate columns carry no usable finite candidates and are skipped when
     picking the two columns: zero columns, columns that are themselves binary
@@ -302,8 +299,6 @@ def recover(Y) -> RecoveryResult:
 
     Raises:
         ValueError: fewer than two data columns, or non-finite entries.
-        InstanceTooLargeError: the pivot leaves too many guesses and n
-            exceeds ENUMERATION_CAP.
         NoCommonCandidateError: no reflection is consistent with the chosen
             columns, or decoding does not yield binary codes.
         AmbiguousRecoveryError: several reflections remain (e.g. all columns
@@ -347,9 +342,6 @@ def recover(Y) -> RecoveryResult:
     y_b = Y[:, index_b]
     pivot = int(np.argmax(np.minimum(np.abs(y_b), np.abs(y_b - 1.0))))
     directions = _pivot_matches(y_a, y_b, pivot)
-    if directions is None:  # too many guesses left by the pivot
-        directions = enumerate_candidates(y_a).directions
-        directions = directions[_match_mask(directions, y_b)]
     if len(directions) == 0:
         raise NoCommonCandidateError(
             f"no common candidate between columns {index_a} and {index_b} "

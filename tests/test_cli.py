@@ -37,18 +37,20 @@ def test_synth_writes_deterministic_files(tmp_path):
 
 
 def test_package_runs_as_a_module(tmp_path):
-    # python -m hhfactor works from a checkout, without installing the package
+    # python -m hhfactor and python -m hhfactor.cli work from a checkout,
+    # without installing the package
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out = tmp_path / "v.mat"
-    done = subprocess.run(
-        [sys.executable, "-m", "hhfactor", "synth", "--n", "6", "--m", "2", "--out", str(out)],
-        env=env, capture_output=True, text=True, check=False,
-    )
-    assert done.returncode == 0, done.stderr
-    assert f"wrote {out}" in done.stdout
-    assert fileio.load_matrix(out).shape == (6, 6)
+    for module in ("hhfactor", "hhfactor.cli"):
+        out = tmp_path / f"{module}.mat"
+        done = subprocess.run(
+            [sys.executable, "-m", module, "synth", "--n", "6", "--m", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert f"wrote {out}" in done.stdout
+        assert fileio.load_matrix(out).shape == (6, 6)
 
 
 def test_synth_factors_match_matrix(tmp_path):
@@ -183,8 +185,13 @@ def test_sweep_writes_trace_per_cell(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra,message",
-    [(["--n", "12", "--m-list", "3,3"], "repeats"), (["--n", "0"], "at most n=0")],
-    ids=["repeated-m", "no-m-within-n"],
+    [
+        (["--n", "12", "--m-list", "3,3"], "repeats"),
+        (["--n", "0"], "at most n=0"),
+        (["--n", "12", "--m-list", "2,-1"], "at least 1"),
+        (["--n", "12", "--m-list", "0"], "at least 1"),
+    ],
+    ids=["repeated-m", "no-m-within-n", "negative-m-after-a-valid-one", "zero-m"],
 )
 def test_sweep_rejects_bad_m_lists(tmp_path, capsys, extra, message):
     outdir = tmp_path / "sweep"
@@ -415,9 +422,9 @@ def test_recover_single_column_is_invalid(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_recover_above_cap_is_invalid(tmp_path, capsys):
+def test_recover_pivot_inconclusive_pair_past_the_cap_has_no_solution(tmp_path, capsys):
     # two columns 1e-6 apart with equal norms leave the pivot the whole
-    # binomial slice, C(30, 6) guesses, and n = 30 is past enumeration
+    # binomial slice, C(30, 6) guesses; its two farthest guesses decide
     rng = np.random.default_rng(10)
     n = 30
     u = make_reflector(rng.standard_normal(n)).u
@@ -428,8 +435,8 @@ def test_recover_above_cap_is_invalid(tmp_path, capsys):
     w -= (w @ y) / (y @ y) * y
     data_path = tmp_path / "y.mat"
     fileio.save_matrix(data_path, np.column_stack([y, y + 1e-6 * w / np.linalg.norm(w)]))
-    assert main(["recover", str(data_path)]) == 1
-    assert "too large" in capsys.readouterr().err
+    assert main(["recover", str(data_path)]) == 4
+    assert "no solution: no common candidate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [26, 64])

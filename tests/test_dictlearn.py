@@ -257,16 +257,18 @@ def pivot_inconclusive_pair(rng, n, ones):
     return np.column_stack([y, y + 1e-6 * w / np.linalg.norm(w)])
 
 
-def test_recover_refuses_large_instances():
-    # the pivot leaves C(30, 6) guesses, past the cap, and n exceeds what
-    # enumeration accepts
+def test_recover_decides_pivot_inconclusive_pairs_beyond_enumeration():
+    # the pivot frees every coordinate, C(30, 6) guesses, and the two
+    # farthest decide where enumeration refuses n = 30
     Y = pivot_inconclusive_pair(np.random.default_rng(39), 30, 6)
-    with pytest.raises(InstanceTooLargeError, match="too large"):
+    with pytest.raises(NoCommonCandidateError, match="no common candidate"):
         recover(Y)
-    # the same shape within the enumeration cap is decided by enumeration
+    # the same shape within the enumeration cap agrees with enumeration
     Y = pivot_inconclusive_pair(np.random.default_rng(39), 20, 6)
     with pytest.raises(NoCommonCandidateError, match="no common candidate"):
         recover(Y)
+    with pytest.raises(NoCommonCandidateError, match="no common candidate"):
+        enumeration_recover(Y)
 
 
 def test_recover_skips_degenerate_columns():
@@ -404,6 +406,18 @@ def sweep_instance(rng, kind, n):
         Y = np.insert(Y, int(rng.integers(0, Y.shape[1] + 1)), 0.0, axis=1)
     elif kind.startswith("noise"):
         Y = Y + float(kind.split()[1]) * rng.standard_normal(Y.shape)
+    elif kind in ("c=+1", "c=-1"):
+        # u orthogonal to x_a - x_b (x_a + x_b) gives x_a - y_a = c (x_b - y_b), c = +1 (-1)
+        w = X[:, 0] - X[:, 1] if kind == "c=+1" else X[:, 0] + X[:, 1]
+        direction = rng.standard_normal(n)
+        if w.any():
+            direction -= (direction @ w) / (w @ w) * w
+        Y = reflection(make_reflector(direction).u) @ X
+    elif kind == "identical-at-boundary":
+        ones = int(X[:, 0].sum())
+        factor = float(rng.choice([-1.0, 1.0]) * (1.0 + rng.uniform(-0.05, 0.05)))
+        column = at_emptiness_boundary(Y[:, 0], ones, factor) if ones else Y[:, 0]
+        Y = np.column_stack([column] * Y.shape[1])
     return Y
 
 
@@ -412,6 +426,8 @@ SWEEP_KINDS = (
     "third-reflector", "sparse-u", "zero-column",
     "noise 1e-10", "noise 3e-10", "noise 1e-9", "noise 3e-9", "noise 1e-7",
 )
+# shapes whose pivot frees coordinates, so that the two farthest guesses decide
+PIVOT_KINDS = ("c=+1", "c=-1", "identical-at-boundary")
 
 
 def test_recover_agrees_with_two_set_oracle():
@@ -569,6 +585,17 @@ def test_recover_agrees_with_enumeration_oracle():
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
     assert set(verdicts) == {"unique", "AmbiguousRecoveryError", "NoCommonCandidateError"}
     assert min(verdicts.values()) >= 300, verdicts
+    pivot_verdicts = {}
+    for index in range(900):
+        kind = PIVOT_KINDS[index % len(PIVOT_KINDS)]
+        n = int(rng.integers(2, 15))
+        verdict, _ = assert_same_outcome(sweep_instance(rng, kind, n), (index, kind, n))
+        pivot_verdicts[kind, verdict] = pivot_verdicts.get((kind, verdict), 0) + 1
+    expected = {(kind, "unique") for kind in PIVOT_KINDS}
+    expected |= {(kind, "AmbiguousRecoveryError") for kind in PIVOT_KINDS}
+    expected.add(("identical-at-boundary", "NoCommonCandidateError"))
+    assert set(pivot_verdicts) == expected, pivot_verdicts
+    assert min(pivot_verdicts.values()) >= 50, pivot_verdicts
 
 
 def test_recover_agrees_with_enumeration_at_the_emptiness_boundary():
@@ -646,7 +673,7 @@ def test_recover_planted_instances_far_beyond_enumeration(n):
     assert result.residual <= 1e-8 * np.sqrt(Y.size)
 
 
-def test_recover_ends_identical_columns_after_one_block(monkeypatch):
+def test_recover_decides_identical_columns_from_two_guesses(monkeypatch):
     calls = []
     solve_rows = dictlearn._solve_rows
 
@@ -663,9 +690,30 @@ def test_recover_ends_identical_columns_after_one_block(monkeypatch):
     y = x - 2.0 * (u @ x) * u
     with pytest.raises(AmbiguousRecoveryError, match="share at least 2 candidates"):
         recover(np.column_stack([y, y]))
-    # the farthest guess of each column, then one block of the pivot path:
-    # solved on the first column and, inside _match_mask, on the second
-    assert calls == [1, 1, dictlearn._BLOCK, dictlearn._BLOCK]
+    # the farthest guess of each column, then the two farthest guesses of
+    # c = 1: solved on the first column and, inside _match_mask, on the second
+    assert calls == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_recover_never_enumerates_past_the_enumeration_cap(monkeypatch, n):
+    enumerations = []
+
+    def counted_enumeration(y, cap=dictlearn.ENUMERATION_CAP):
+        enumerations.append(y)
+        return enumerate_candidates(y, cap)
+
+    monkeypatch.setattr(dictlearn, "enumerate_candidates", counted_enumeration)
+    rng = np.random.default_rng(n)
+    with pytest.raises(NoCommonCandidateError, match="no common candidate"):
+        recover(pivot_inconclusive_pair(rng, n, n // 4))
+    u = make_reflector(rng.standard_normal(n)).u
+    x = np.zeros(n)
+    x[: n // 4] = 1.0
+    y = x - 2.0 * (u @ x) * u
+    with pytest.raises(AmbiguousRecoveryError, match="share at least 2 candidates"):
+        recover(np.column_stack([y, y]))
+    assert enumerations == []
 
 
 # ------------------------------------------------------ non_uniqueness_example
