@@ -8,7 +8,9 @@ has exponentially many candidates; enumerate_candidates lists them and
 refuses instances above a size cap. Recovery from two columns is polynomial
 and never enumerates: both share u, so x_a - y_a = c (x_b - y_b) for one
 scalar c. One pivot coordinate of y_b leaves at most four values of c; each
-fixes the guess for y_a, or, for |c| near 1, leaves two guesses to decide.
+fixes the guess for y_a, or, for |c| near 1, leaves at most four guesses to
+test: the two farthest from y_a, which decide at c = +-1 exactly, and the
+best fit to c with its likeliest neighbour, which decide off +-1.
 """
 
 from __future__ import annotations
@@ -119,14 +121,6 @@ class CandidateSet:
         return tuple(map(tuple, self.codes.tolist()))
 
 
-def _guess_blocks(base: np.ndarray, supports, size: int):
-    """Guesses base + ones on each support, in blocks of at most size rows."""
-    while block := list(itertools.islice(supports, size)):
-        X = np.repeat(base[None], len(block), axis=0)
-        X[np.arange(len(block))[:, None], np.array(block, dtype=np.intp)] = 1.0
-        yield X
-
-
 def _solve_rows(X: np.ndarray, y: np.ndarray, ones: int):
     """solve_column on each row of X other than y itself: (solving rows, their directions)."""
     D = X - y
@@ -172,7 +166,10 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
 
     direction_blocks: list[np.ndarray] = []
     code_blocks: list[np.ndarray] = []
-    for X in _guess_blocks(np.zeros(n), itertools.combinations(range(n), ones), _CHUNK):
+    supports = itertools.combinations(range(n), ones)
+    while block := list(itertools.islice(supports, _CHUNK)):
+        X = np.zeros((len(block), n))
+        X[np.arange(len(block))[:, None], np.array(block, dtype=np.intp)] = 1.0
         solved, directions = _solve_rows(X, y, ones)
         direction_blocks.append(directions)
         code_blocks.append(X[solved].astype(np.int8))
@@ -235,6 +232,36 @@ def _slice_is_empty(y: np.ndarray) -> bool:
     return len(_solve_rows(farthest, y, ones)[0]) == 0
 
 
+def _likeliest_neighbour(x: np.ndarray, y: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The guess some m swaps from x on the free coordinates that column b is likeliest to match.
+
+    If x is the true code of a model instance with c = +-1 + eta, a guess
+    x + d also solves y, and the other column then matches it along a
+    direction that misses by about
+    |eta| ||w|| ||d - (d.w / ||w||^2) w|| / ||w + d||^2, w = x - y.
+    That depends on d only through m and d.w, and for fixed m it is largest
+    at an interior value of d.w, so the smallest miss lies on one of two
+    swap paths: x's largest free ones for the smallest free zeros, or the
+    smallest for the largest.
+    """
+    free = free[np.argsort(y[free], kind="stable")]
+    ones, zeros = free[x[free] == 1.0], free[x[free] == 0.0]
+    m = np.arange(1.0, min(len(ones), len(zeros)) + 1.0)
+    if len(m) == 0:
+        return x
+    paths = [(ones[::-1][: len(m)], zeros[: len(m)]), (ones[: len(m)], zeros[::-1][: len(m)])]
+    w = x - y
+    norm_sq = float(w @ w)
+    dots = np.array([np.cumsum(y[out] - y[into]) - m for out, into in paths])  # d.w
+    misses = (2.0 * m - dots**2 / norm_sq) / (norm_sq + 2.0 * dots + 2.0 * m) ** 2
+    path, swaps = np.unravel_index(np.argmin(misses), misses.shape)
+    out, into = paths[path]
+    neighbour = x.copy()
+    neighbour[out[: swaps + 1]] = 0.0
+    neighbour[into[: swaps + 1]] = 1.0
+    return neighbour
+
+
 def _pivot_matches(y_a: np.ndarray, y_b: np.ndarray, pivot: int) -> np.ndarray:
     """Distinct directions that solve y_a and match y_b, as rows; two or more mean ambiguity.
 
@@ -242,38 +269,49 @@ def _pivot_matches(y_a: np.ndarray, y_b: np.ndarray, pivot: int) -> np.ndarray:
     so the four binary pairs (s, t) at the pivot give the values of c. For
     each, coordinate k admits every s for which some t gives
     |(s - y_a[k]) - c (t - y_b[k])| <= PIVOT_RTOL (1 + |c|). A coordinate
-    admitting both bits (only for |c| near 1) is free; the guesses set any
-    free ones that reach the popcount round(||y_a||^2). Column a's residual,
-    | ||y_a||^2 - popcount | / ||x - y_a|| (see _slice_is_empty), and at
-    c = +-1 column b's tests, which see ||x_a - y_a|| / |c|, pass first for
-    the guesses farthest from y_a: free ones on the smallest entries of y_a,
-    then one swap, the largest chosen entry for the smallest unchosen one.
-    These two per c decide, all through one _solve_rows on y_a and one
-    _match_mask on y_b, the tests enumeration applies.
+    admitting both bits (only for |c| near 1) is free; guesses set free ones
+    up to the popcount round(||y_a||^2), and at most four of them are tried:
+
+    - At c = +-1 exactly, x_b - y_b = +-(x - y_a) for every guess x, so b's
+      direction always matches and both residuals, | ||y||^2 - popcount | /
+      ||x - y_a|| (see _slice_is_empty), shrink as x moves away from y_a:
+      the farthest guess (free ones on y_a's smallest entries) and the
+      farthest but one decide.
+    - At c = +-1 + eta, eta above roundoff, a wrong free bit misfits c by
+      about |eta| and a true one not at all, so the best fit is the true
+      code, and if another guess matches, the one _likeliest_neighbour
+      picks does.
+
+    Noisy data fit neither exactly; the tests compare the same four guesses
+    with enumeration there. All go through one _solve_rows on y_a and one
+    _match_mask on y_b, the tests enumeration applies, so every match
+    reported is one enumeration finds too.
     """
     n = y_a.shape[0]
     ones = round(float(y_a @ y_a))
     binary = np.array([[0.0], [1.0]])
     offsets_a, offsets_b = binary - y_a, binary - y_b  # row s: s - y[k]
-    guesses = []
+    guesses = {}
     for c in dict.fromkeys((offsets_a[:, pivot, None] / offsets_b[:, pivot]).ravel().tolist()):
-        deviation = np.abs(offsets_a[:, None] - c * offsets_b[None])  # (s, t, k)
-        admitted = (deviation <= PIVOT_RTOL * (1.0 + abs(c))).any(axis=1)  # (s, k)
+        misfit = np.abs(offsets_a[:, None] - c * offsets_b[None]).min(axis=1)  # (s, k)
+        admitted = misfit <= PIVOT_RTOL * (1.0 + abs(c))
         if not admitted.any(axis=0).all():
             continue
         free = np.flatnonzero(admitted.all(axis=0))
-        farthest = (admitted[1] & ~admitted[0]).astype(float)  # fixed ones only, so far
-        need = ones - int(farthest.sum())
+        base = (admitted[1] & ~admitted[0]).astype(float)  # fixed ones
+        need = ones - int(base.sum())
         if not 0 <= need <= len(free):
             continue
         order = free[np.argsort(y_a[free], kind="stable")]
+        farthest, fitting = base.copy(), base.copy()
         farthest[order[:need]] = 1.0
-        guesses.append(farthest)
+        fitting[free[np.lexsort((y_a[free], misfit[1, free] - misfit[0, free]))][:need]] = 1.0
+        second = farthest.copy()
         if 0 < need < len(free):
-            second = farthest.copy()
             second[order[[need - 1, need]]] = (0.0, 1.0)
-            guesses.append(second)
-    X = np.array(guesses).reshape(-1, n)
+        for guess in (farthest, second, fitting, _likeliest_neighbour(fitting, y_a, free)):
+            guesses[guess.tobytes()] = guess
+    X = np.array(list(guesses.values())).reshape(-1, n)
     solved, directions = _solve_rows(X, y_a, ones)
     hits = _match_mask(directions, y_b)
     distinct = dict(zip((X[row].tobytes() for row in solved[hits]), directions[hits]))
@@ -285,11 +323,11 @@ def recover(Y) -> RecoveryResult:
 
     Runs in polynomial time and never enumerates. Two informative columns a
     and b are chosen; a pivot coordinate of b gives at most four values of c
-    in x_a - y_a = c (x_b - y_b), and for each the two guesses for a
-    farthest from y_a decide (see _pivot_matches): a guess must solve a and
-    decode b to a binary solution along the same direction (x = H y, H
-    being an involution). Under the binary model exactly one direction
-    passes, and that reflection then decodes every column of X directly.
+    in x_a - y_a = c (x_b - y_b), and for each at most four guesses for a
+    decide (see _pivot_matches): a guess must solve a and decode b to a
+    binary solution along the same direction (x = H y, H being an
+    involution). Under the binary model exactly one direction passes, and
+    that reflection then decodes every column of X directly.
 
     Degenerate columns carry no usable finite candidates and are skipped when
     picking the two columns: zero columns, columns that are themselves binary

@@ -424,7 +424,7 @@ def test_recover_single_column_is_invalid(tmp_path, capsys):
 
 def test_recover_pivot_inconclusive_pair_past_the_cap_has_no_solution(tmp_path, capsys):
     # two columns 1e-6 apart with equal norms leave the pivot the whole
-    # binomial slice, C(30, 6) guesses; its two farthest guesses decide
+    # binomial slice, C(30, 6) guesses, of which at most four are tested
     rng = np.random.default_rng(10)
     n = 30
     u = make_reflector(rng.standard_normal(n)).u

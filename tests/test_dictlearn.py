@@ -258,8 +258,8 @@ def pivot_inconclusive_pair(rng, n, ones):
 
 
 def test_recover_decides_pivot_inconclusive_pairs_beyond_enumeration():
-    # the pivot frees every coordinate, C(30, 6) guesses, and the two
-    # farthest decide where enumeration refuses n = 30
+    # the pivot frees every coordinate, C(30, 6) guesses, and at most four
+    # of them decide where enumeration refuses n = 30
     Y = pivot_inconclusive_pair(np.random.default_rng(39), 30, 6)
     with pytest.raises(NoCommonCandidateError, match="no common candidate"):
         recover(Y)
@@ -380,6 +380,12 @@ def recovery_outcome(method, Y):
     return "unique", result.u.u, result.X
 
 
+def with_ratio(direction, w, X, c):
+    """direction plus a multiple of w for which u.x_a = c u.x_b, x_a and x_b X's first columns."""
+    x_a, x_b = X[:, 0], X[:, 1]
+    return direction + (c * (direction @ x_b) - direction @ x_a) / (w @ x_a - c * (w @ x_b)) * w
+
+
 def sweep_instance(rng, kind, n):
     """Data of one kind for the oracle sweep, built from a random u and binary X."""
     u = make_reflector(rng.standard_normal(n))
@@ -406,18 +412,25 @@ def sweep_instance(rng, kind, n):
         Y = np.insert(Y, int(rng.integers(0, Y.shape[1] + 1)), 0.0, axis=1)
     elif kind.startswith("noise"):
         Y = Y + float(kind.split()[1]) * rng.standard_normal(Y.shape)
-    elif kind in ("c=+1", "c=-1"):
-        # u orthogonal to x_a - x_b (x_a + x_b) gives x_a - y_a = c (x_b - y_b), c = +1 (-1)
-        w = X[:, 0] - X[:, 1] if kind == "c=+1" else X[:, 0] + X[:, 1]
+    elif kind.startswith(("c=+1", "c=-1")):
+        # u orthogonal to x_a - x_b (x_a + x_b) gives x_a - y_a = c (x_b - y_b),
+        # c = +1 (-1); for "+eta" a component along it moves |c| off 1 by 1e-9..1e-5
+        sign = 1.0 if kind.startswith("c=+1") else -1.0
+        w = X[:, 0] - sign * X[:, 1]
         direction = rng.standard_normal(n)
         if w.any():
             direction -= (direction @ w) / (w @ w) * w
+        if w.any() and kind.endswith("+eta"):
+            c = sign * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -5.0))
+            direction = with_ratio(direction, w, X, c)
         Y = reflection(make_reflector(direction).u) @ X
-    elif kind == "identical-at-boundary":
+    elif kind.endswith("identical-at-boundary"):
         ones = int(X[:, 0].sum())
         factor = float(rng.choice([-1.0, 1.0]) * (1.0 + rng.uniform(-0.05, 0.05)))
         column = at_emptiness_boundary(Y[:, 0], ones, factor) if ones else Y[:, 0]
         Y = np.column_stack([column] * Y.shape[1])
+        if kind == "near-identical-at-boundary":  # apart by roundoff, not exactly equal
+            Y[:, 1] += 10.0 ** rng.uniform(-14.0, -10.0) * rng.standard_normal(n)
     return Y
 
 
@@ -426,8 +439,10 @@ SWEEP_KINDS = (
     "third-reflector", "sparse-u", "zero-column",
     "noise 1e-10", "noise 3e-10", "noise 1e-9", "noise 3e-9", "noise 1e-7",
 )
-# shapes whose pivot frees coordinates, so that the two farthest guesses decide
-PIVOT_KINDS = ("c=+1", "c=-1", "identical-at-boundary")
+# shapes whose pivot frees coordinates, so that the pivot path picks guesses among them
+PIVOT_KINDS = (
+    "c=+1", "c=-1", "identical-at-boundary", "near-identical-at-boundary", "c=+1+eta", "c=-1+eta",
+)
 
 
 def test_recover_agrees_with_two_set_oracle():
@@ -586,16 +601,44 @@ def test_recover_agrees_with_enumeration_oracle():
     assert set(verdicts) == {"unique", "AmbiguousRecoveryError", "NoCommonCandidateError"}
     assert min(verdicts.values()) >= 300, verdicts
     pivot_verdicts = {}
-    for index in range(900):
+    for index in range(1800):
         kind = PIVOT_KINDS[index % len(PIVOT_KINDS)]
         n = int(rng.integers(2, 15))
         verdict, _ = assert_same_outcome(sweep_instance(rng, kind, n), (index, kind, n))
         pivot_verdicts[kind, verdict] = pivot_verdicts.get((kind, verdict), 0) + 1
     expected = {(kind, "unique") for kind in PIVOT_KINDS}
     expected |= {(kind, "AmbiguousRecoveryError") for kind in PIVOT_KINDS}
-    expected.add(("identical-at-boundary", "NoCommonCandidateError"))
+    expected |= {(kind, "NoCommonCandidateError") for kind in PIVOT_KINDS if "at-boundary" in kind}
     assert set(pivot_verdicts) == expected, pivot_verdicts
     assert min(pivot_verdicts.values()) >= 50, pivot_verdicts
+
+
+@pytest.mark.parametrize(
+    "x_a, x_b, direction, eta, expected",
+    [
+        # coordinates 0, 3, 4 and 5 take one 1, which the true code puts on
+        # 0, not on y_a's smallest entry; every guess solves y_a and only the
+        # true code matches y_b
+        ([1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0.3, 0.5, 0.5, -0.2, 0.6, 0.1], 1e-6, "unique"),
+        # guesses one swap from the true code match y_b as well
+        (
+            [1, 0, 0, 0, 0, 1, 0, 1, 0],
+            [1, 0, 0, 0, 1, 0, 1, 1, 0],
+            [0.79, 0.11, 0.25, 0.22, 0.08, -0.01, -0.09, -0.26, -0.42],
+            3e-8,
+            "AmbiguousRecoveryError",
+        ),
+    ],
+)
+def test_recover_agrees_with_enumeration_just_off_c_equal_one(x_a, x_b, direction, eta, expected):
+    X = np.column_stack([x_a, x_b]).astype(float)
+    w = X[:, 0] - X[:, 1]
+    direction = np.array(direction) - (np.array(direction) @ w) / (w @ w) * w
+    u = make_reflector(with_ratio(direction, w, X, 1.0 + eta))
+    verdict, found_X = assert_same_outcome(reflection(u.u) @ X, eta)
+    assert verdict == expected
+    if verdict == "unique":
+        np.testing.assert_array_equal(found_X, X.astype(int))
 
 
 def test_recover_agrees_with_enumeration_at_the_emptiness_boundary():
@@ -691,7 +734,8 @@ def test_recover_decides_identical_columns_from_two_guesses(monkeypatch):
     with pytest.raises(AmbiguousRecoveryError, match="share at least 2 candidates"):
         recover(np.column_stack([y, y]))
     # the farthest guess of each column, then the two farthest guesses of
-    # c = 1: solved on the first column and, inside _match_mask, on the second
+    # c = 1 (the best fit to c and its likeliest neighbour are the same two
+    # here): solved on the first column and, inside _match_mask, on the second
     assert calls == [1, 1, 2, 2]
 
 
