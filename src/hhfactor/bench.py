@@ -69,6 +69,10 @@ def run_benchmark(
     m_list = tuple(sorted(m_list))
     if len(m_list) < 2:
         raise ValueError("need at least two m values to check scaling")
+    if m_list[0] < 1:
+        raise ValueError(f"m must be at least 1, got {m_list[0]}")
+    if len(set(m_list)) < len(m_list):
+        raise ValueError(f"m-list repeats a value: {','.join(map(str, m_list))}")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     _, product = synthesize(GeneratorSpec("gaussian", n=n, m=max(m_list), seed=seed))

@@ -80,6 +80,8 @@ def _decompose_one(matrix, max_m, eps, trace_path, out_path):
 
 
 def _run_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     m_list = _parse_int_list(args.m_list) if args.m_list else SWEEP_M_LIST
     if min(m_list, default=1) < 1:  # checked before any cell writes its file
         raise ValueError(f"sweep m must be at least 1: {','.join(map(str, m_list))}")

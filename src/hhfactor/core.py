@@ -143,14 +143,13 @@ def materialize(product: HouseholderProduct) -> np.ndarray:
     return M
 
 
-def check_orthogonal(V, tol: float | None = None) -> np.ndarray:
-    """Return V as a square ndarray, raising if it is not orthogonal within tol."""
+def check_orthogonal(V) -> np.ndarray:
+    """Return V as a square ndarray, raising unless ||V^T V - I||_F <= ORTHO_RTOL * n."""
     M = np.asarray(V, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
-    if tol is None:
-        tol = ORTHO_RTOL * n
+    tol = ORTHO_RTOL * n
     with np.errstate(invalid="ignore", over="ignore"):
         defect = np.linalg.norm(M.T @ M - np.eye(n), "fro")
     if not defect <= tol:  # a non-finite entry makes defect NaN or inf
@@ -191,17 +190,16 @@ def symmetric_eigendecomposition(A) -> SymmetricSpectrum:
     return SymmetricSpectrum(eigenvalues, eigenvectors)
 
 
-def _fixed_subspace_dim(M: np.ndarray, tol: float | None = None) -> int:
-    singular_values = np.linalg.svd(M - np.eye(M.shape[0]), compute_uv=False)
-    if tol is None:
-        tol = RANK_TOL_RTOL * np.sqrt(M.shape[0])
-    return int(M.shape[0] - np.count_nonzero(singular_values > tol))
+def _fixed_subspace_dim(M: np.ndarray) -> int:
+    n = M.shape[0]
+    singular_values = np.linalg.svd(M - np.eye(n), compute_uv=False)
+    return int(n - np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n)))
 
 
-def eigenspace_one_dimension(V, tol: float | None = None) -> int:
+def eigenspace_one_dimension(V) -> int:
     """Dimension of the fixed subspace {x : Vx = x} of an orthogonal matrix.
 
     Computed as n minus the rank of V - I, where singular values at or below
-    tol (default 1e-6 * sqrt(n)) count as zero.
+    RANK_TOL_RTOL * sqrt(n) = 1e-6 * sqrt(n) count as zero.
     """
-    return _fixed_subspace_dim(check_orthogonal(V), tol)
+    return _fixed_subspace_dim(check_orthogonal(V))

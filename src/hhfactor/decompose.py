@@ -16,9 +16,11 @@ Computations, 7.4). The symmetric part of T is then block diagonal too, and
 every greedy step reduces to one block: its bottom eigenvector is the
 reflector, and reflecting that block's rows of T keeps the block structure.
 The greedy therefore keeps only the diagonal blocks, as 2-by-2 squares (a
-1-by-1 block t padded to diag(t, 1)). A reflection of a block's rows keeps
-the norm of their entries outside the block, so the Frobenius norm of T off
-its diagonal blocks is a constant part of the residual. For orthogonal W,
+1-by-1 block t padded to diag(t, 1)), and reads their bounds from one mask
+of T's subdiagonal, which LAPACK leaves exactly zero where a block ends. A
+reflection of a block's rows keeps the norm of their entries outside the
+block, so the Frobenius norm of T off its diagonal blocks is a constant
+part of the residual. For orthogonal W,
 (W - I)^T (W - I) = 2(I - sym W), so the singular values of W - I are
 sqrt(2(1 - mu)) over the eigenvalues mu of sym W: the blocks' eigenvalues
 give the fixed-subspace dimension as well.
@@ -27,7 +29,8 @@ Blocks never interact, so a block's states after one, two, ... steps on it
 do not depend on what happened to the other blocks. Two steps clear a
 rotation block and one a -1 block, so three rounds hold every state: round
 r takes the r-th step on every block at once, with one stacked eigensolve,
-and records what each block contributes to the residual, the trace and the
+and appends to per-field arrays, indexed [round][block], each block's
+bottom eigenpair and what it contributes to the residual, the trace and the
 fixed-subspace dimension. One sort of those scalars fixes the step order.
 """
 
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import schur
@@ -135,23 +137,11 @@ def _moving_subspace(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
     return None, M, 0.0
 
 
-def _schur_blocks(T: np.ndarray) -> list[slice]:
-    """The 1-by-1 and 2-by-2 diagonal blocks of a real Schur form, in order.
-
-    LAPACK leaves a subdiagonal entry exactly zero wherever a block ends.
-    """
-    blocks = []
-    start = 0
-    while start < T.shape[0]:
-        stop = start + (2 if start + 1 < T.shape[0] and T[start + 1, start] != 0.0 else 1)
-        blocks.append(slice(start, stop))
-        start = stop
-    return blocks
-
-
 def _diagonal_blocks(T: np.ndarray):
     """T's diagonal blocks as a (K, 2, 2) stack, and the norm of T outside them.
 
+    LAPACK leaves T's subdiagonal exactly zero wherever a block ends, so a
+    row starts a block unless the entry left of its diagonal is nonzero.
     A 1-by-1 block t is padded to diag(t, 1): the pad adds nothing to the
     block's residual or rank, eigh returns t and (+-1, 0) for it exactly
     when t <= 1, and a reflection along (+-1, 0) keeps it. columns[k] holds
@@ -159,9 +149,9 @@ def _diagonal_blocks(T: np.ndarray):
     Reflecting a block's rows of T moves their entries outside the block
     among themselves, so the Frobenius norm of those entries is fixed.
     """
-    blocks = _schur_blocks(T)
-    first = np.array([block.start for block in blocks], dtype=int)
-    pairs = np.array([block.stop - block.start == 2 for block in blocks], dtype=bool)
+    joined = np.append(False, np.diag(T, -1) != 0.0)[: T.shape[0]]  # row i is in row i-1's block
+    first = np.flatnonzero(~joined)
+    pairs = np.append(joined[1:], False)[first]
     columns = first[:, None] + np.outer(pairs, [0, 1])
     squares = T[columns[:, :, None], columns[:, None, :]]
     squares[~pairs, 0, 1] = 0.0
@@ -169,28 +159,6 @@ def _diagonal_blocks(T: np.ndarray):
     outside = T.copy()
     outside[columns[:, :, None], columns[:, None, :]] = 0.0
     return squares, columns, pairs, float(np.linalg.norm(outside, "fro"))
-
-
-class _Round(NamedTuple):
-    """Every block's state after the same number of greedy steps on it."""
-
-    lambda_min: list[float]  # bottom eigenvalue of the block's symmetric part
-    directions: np.ndarray   # (K, 2): its eigenvector
-    norms: list[float]       # squared Frobenius norm of I - the block
-    diagonals: list[float]   # the block's diagonal sum
-    moving: list[int]        # the block's share of the rank of W - I
-
-
-def _block_round(squares: np.ndarray, n: int) -> _Round:
-    """Record the current state of every block, with one stacked eigensolve."""
-    mu, vectors = np.linalg.eigh((squares + squares.transpose(0, 2, 1)) / 2.0)
-    return _Round(
-        lambda_min=mu[:, 0].tolist(),
-        directions=vectors[:, :, 0],
-        norms=np.sum((np.eye(2) - squares) ** 2, axis=(1, 2)).tolist(),
-        diagonals=np.trace(squares, axis1=1, axis2=2).tolist(),
-        moving=_moving_rank(mu, n).tolist(),
-    )
 
 
 def nearest_reflector(V) -> tuple[Reflector, float]:
@@ -231,27 +199,28 @@ def greedy_decompose(
 
     One n-by-n eigensolve of sym(V) yields the moving subspace Q and
     C = Q^T V Q, and one real Schur factorization C = Z T Z^T follows. The
-    greedy runs on the diagonal blocks of T, a (K, 2, 2) stack of squares
-    with each 1-by-1 block t padded to diag(t, 1); a step on a block
-    reflects its square by its bottom eigenvector a and lifts a to the
-    n-dimensional factor (QZ)[:, block] a. A step touches only its block, so
-    the steps are taken in three rounds: round r reflects every square for
-    the r-th time, with one stacked eigensolve and one stacked reflection,
-    and records per block the bottom eigenvalue, the squared norm of I minus
-    the square, its diagonal sum and its count of singular values of W - I
-    above the rank tolerance. The plan, fixed at entry, holds two steps per
-    rotation block and one per -1 block in the order of always taking the
-    block with the smallest bottom eigenvalue, ties going to the first
-    block. A scalar loop walks it until the residual is within eps, the
-    budget is spent or the plan ends, so a cleared block is never stepped,
-    and builds each trace row from the recorded sums: the residual is
-    sqrt(sum of square norms + rest^2), because the product is orthogonal
-    and ||product - V||_F = ||I - W||_F. rest joins the part of V - I
-    outside the compression with the norm of T off its diagonal blocks,
-    which no reflection of a block's rows changes. trace = (tr V - tr T -
-    the pads) + the diagonal sums, and dim_e1 = n - the counts. The factors
-    are lifted with one product QZ A. When the dropped part exceeds eps/2,
-    or nothing is dropped, Q = I.
+    greedy runs on the diagonal blocks of T, bounded where T's subdiagonal
+    is exactly zero: a (K, 2, 2) stack of squares with each 1-by-1 block t
+    padded to diag(t, 1). A step on a block reflects its square by its
+    bottom eigenvector a and lifts a to the n-dimensional factor
+    (QZ)[:, block] a. A step touches only its block, so the steps are taken
+    in three rounds: round r reflects every square for the r-th time, with
+    one stacked eigensolve and one stacked reflection, and appends to one
+    list per field, indexed [round][block], the bottom eigenvalue and
+    eigenvector, the squared norm of I minus the square, its diagonal sum
+    and its count of singular values of W - I above the rank tolerance. The
+    plan, fixed at entry, holds two steps per rotation block and one per -1
+    block in the order of always taking the block with the smallest bottom
+    eigenvalue, ties going to the first block. A scalar loop walks it until
+    the residual is within eps, the budget is spent or the plan ends, so a
+    cleared block is never stepped, and builds each trace row from the
+    recorded sums: the residual is sqrt(sum of square norms + rest^2),
+    because the product is orthogonal and ||product - V||_F = ||I - W||_F.
+    rest joins the part of V - I outside the compression with the norm of T
+    off its diagonal blocks, which no reflection of a block's rows changes.
+    trace = (tr V - tr T - the pads) + the diagonal sums, and dim_e1 = n -
+    the counts. The factors are lifted with one product QZ A. When the
+    dropped part exceeds eps/2, or nothing is dropped, Q = I.
     """
     M = check_orthogonal(V)
     n = M.shape[0]
@@ -267,41 +236,46 @@ def greedy_decompose(
     lift = Z if basis is None else basis @ Z
     squares, columns, pairs, outside = _diagonal_blocks(T)
     rest = math.hypot(rest, outside)
-    rounds = [_block_round(squares, n)]
-    for _ in range(2):  # two steps clear a rotation block, one a -1 block
-        _peel(squares, rounds[-1].directions)
-        rounds.append(_block_round(squares, n))
-    first = rounds[0].lambda_min
+    # indexed [round][block]: two steps clear a rotation block, one a -1 block
+    lambda_min, directions, norms, diagonals, moving = [], [], [], [], []
+    for _ in range(3):
+        mu, vectors = np.linalg.eigh((squares + squares.transpose(0, 2, 1)) / 2.0)
+        lambda_min.append(mu[:, 0].tolist())
+        directions.append(vectors[:, :, 0])
+        norms.append(np.sum((np.eye(2) - squares) ** 2, axis=(1, 2)).tolist())
+        diagonals.append(np.trace(squares, axis1=1, axis2=2).tolist())
+        moving.append(_moving_rank(mu, n).tolist())
+        _peel(squares, directions[-1])
+    first = lambda_min[0]
     counts = [2 if pair else int(lam < 0.0) for pair, lam in zip(pairs.tolist(), first)]
     # a block whose next lambda_min is lower stays the argmin, so the argmin
     # order sorts each step by the running max of its block's lambda_min
     steps = [(k, r) for k, count in enumerate(counts) for r in range(count)]
-    plan = sorted((max(first[k], rounds[r].lambda_min[k]), k, r) for k, r in steps)[: min(max_m, n)]
-    norms = list(rounds[0].norms)
-    diagonals = list(rounds[0].diagonals)
-    moving = sum(rounds[0].moving)
+    plan = sorted((max(first[k], lambda_min[r][k]), k, r) for k, r in steps)[: min(max_m, n)]
+    block_norms = list(norms[0])
+    block_diagonals = list(diagonals[0])
+    moved = sum(moving[0])
     dropped_trace = float(np.trace(M) - np.trace(T) - np.count_nonzero(~pairs))  # minus the pads
     rows: list[TraceRow] = []  # row j: the step plan[j]
-    residual = math.hypot(math.sqrt(math.fsum(norms)), rest)
+    residual = math.hypot(math.sqrt(math.fsum(block_norms)), rest)
     while True:
-        working_trace = dropped_trace + math.fsum(diagonals)
-        dim_e1 = n - moving
+        working_trace = dropped_trace + math.fsum(block_diagonals)
+        dim_e1 = n - moved
         if residual <= eps or len(rows) == len(plan):
             break
         _, k, r = plan[len(rows)]
-        after = rounds[r + 1]
-        norms[k] = after.norms[k]
-        diagonals[k] = after.diagonals[k]
-        moving += after.moving[k] - rounds[r].moving[k]
-        residual = math.hypot(math.sqrt(math.fsum(norms)), rest)
-        rows.append(TraceRow(len(rows), residual, rounds[r].lambda_min[k], working_trace, dim_e1))
+        block_norms[k] = norms[r + 1][k]
+        block_diagonals[k] = diagonals[r + 1][k]
+        moved += moving[r + 1][k] - moving[r][k]
+        residual = math.hypot(math.sqrt(math.fsum(block_norms)), rest)
+        rows.append(TraceRow(len(rows), residual, lambda_min[r][k], working_trace, dim_e1))
 
     # row j of embedded is factor j's direction in the coordinates of T
     taken = np.array([step[1:] for step in plan[: len(rows)]], dtype=int).reshape(-1, 2)
     block_of, round_of = taken.T
-    directions = np.stack([state.directions for state in rounds])[round_of, block_of]
+    taken_directions = np.stack(directions)[round_of, block_of]
     embedded = np.zeros((len(rows), T.shape[0]))
-    np.add.at(embedded, (np.arange(len(rows))[:, None], columns[block_of]), directions)
+    np.add.at(embedded, (np.arange(len(rows))[:, None], columns[block_of]), taken_directions)
 
     if residual <= eps:
         termination = "converged"

@@ -135,7 +135,7 @@ def _solve_rows(X: np.ndarray, y: np.ndarray, ones: int):
     return usable[solved], _canonical_rows(U[solved])
 
 
-def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
+def enumerate_candidates(y) -> CandidateSet:
     """All reflector candidates for one column under binary codes.
 
     Only guesses whose popcount matches round(||y||^2) can solve the column,
@@ -152,9 +152,9 @@ def enumerate_candidates(y, cap: int = ENUMERATION_CAP) -> CandidateSet:
     if not np.isfinite(y).all():
         raise ValueError("column has non-finite entries")
     n = y.shape[0]
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise InstanceTooLargeError(
-            f"instance too large: n = {n} exceeds enumeration cap {cap}"
+            f"instance too large: n = {n} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     no_rows = (np.empty((0, n)), np.empty((0, n), dtype=np.int8))
     norm_sq = float(y @ y)

@@ -1,3 +1,6 @@
+import pytest
+
+from hhfactor import bench
 from hhfactor.bench import run_benchmark
 
 
@@ -26,3 +29,18 @@ def test_benchmark_requires_a_repeat():
     # a median over no samples is NaN and would read as a scaling verdict
     with pytest.raises(ValueError, match="repeats must be at least 1"):
         run_benchmark(n=64, m_list=(4, 8), repeats=0)
+
+
+@pytest.mark.parametrize(
+    "m_list,message",
+    [((0, 8), "at least 1, got 0"), ((-4, 8), "at least 1, got -4"), ((8, 8), "repeats"),
+     ((4, 8, 4), "repeats")],
+    ids=["zero", "negative", "only-a-repeat", "repeat-among-others"],
+)
+def test_benchmark_rejects_bad_m_lists(monkeypatch, m_list, message):
+    def refuse(spec):
+        raise AssertionError("synthesized before the m list was checked")
+
+    monkeypatch.setattr(bench, "synthesize", refuse)
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(n=64, m_list=m_list, repeats=5)

@@ -190,8 +190,9 @@ def test_sweep_writes_trace_per_cell(tmp_path, capsys):
         (["--n", "0"], "at most n=0"),
         (["--n", "12", "--m-list", "2,-1"], "at least 1"),
         (["--n", "12", "--m-list", "0"], "at least 1"),
+        (["--n", "12", "--jobs", "0"], "--jobs must be at least 1"),
     ],
-    ids=["repeated-m", "no-m-within-n", "negative-m-after-a-valid-one", "zero-m"],
+    ids=["repeated-m", "no-m-within-n", "negative-m-after-a-valid-one", "zero-m", "zero-jobs"],
 )
 def test_sweep_rejects_bad_m_lists(tmp_path, capsys, extra, message):
     outdir = tmp_path / "sweep"
@@ -365,6 +366,13 @@ def test_bench_rejects_zero_repeats(capsys):
     assert main(["bench", "--n", "64", "--m-list", "4,8", "--repeats", "0"]) == 1
     captured = capsys.readouterr()
     assert "repeats must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_rejects_zero_m(capsys):
+    assert main(["bench", "--n", "64", "--m-list", "0,8", "--repeats", "5"]) == 1
+    captured = capsys.readouterr()
+    assert "error: m must be at least 1, got 0" in captured.err
     assert captured.out == ""
 
 

@@ -381,7 +381,11 @@ def sequential_block_reference(V, max_m, eps):
     T, Z = schur(C, output="real")
     lift = Z if basis is None else basis @ Z
     identity = np.eye(T.shape[0])
-    blocks = decompose._schur_blocks(T)
+    blocks, start = [], 0  # a block ends where LAPACK left the subdiagonal exactly zero
+    while start < T.shape[0]:
+        stop = start + (2 if start + 1 < T.shape[0] and T[start + 1, start] != 0.0 else 1)
+        blocks.append(slice(start, stop))
+        start = stop
 
     def block_spectrum(block):
         square = T[block, block]

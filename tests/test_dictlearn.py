@@ -666,9 +666,9 @@ def test_recover_on_benchmark_shaped_instances_never_enumerates(monkeypatch):
     """Planted n 12..16, four columns, popcount 2..6, as the recover-binary workload draws them."""
     enumerations, match_calls = [], []
 
-    def counted_enumeration(y, cap=dictlearn.ENUMERATION_CAP):
+    def counted_enumeration(y):
         enumerations.append(y)
-        return enumerate_candidates(y, cap)
+        return enumerate_candidates(y)
 
     def counted_match(U, y):
         match_calls.append(U.shape[0])
@@ -743,9 +743,9 @@ def test_recover_decides_identical_columns_from_two_guesses(monkeypatch):
 def test_recover_never_enumerates_past_the_enumeration_cap(monkeypatch, n):
     enumerations = []
 
-    def counted_enumeration(y, cap=dictlearn.ENUMERATION_CAP):
+    def counted_enumeration(y):
         enumerations.append(y)
-        return enumerate_candidates(y, cap)
+        return enumerate_candidates(y)
 
     monkeypatch.setattr(dictlearn, "enumerate_candidates", counted_enumeration)
     rng = np.random.default_rng(n)
