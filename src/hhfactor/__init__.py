@@ -15,7 +15,6 @@ from .core import (
     SymmetricSpectrum,
     apply,
     check_orthogonal,
-    eigenspace_one_dimension,
     make_reflector,
     materialize,
     same_reflector,
@@ -55,7 +54,6 @@ __all__ = [
     "SymmetricSpectrum",
     "apply",
     "check_orthogonal",
-    "eigenspace_one_dimension",
     "make_reflector",
     "materialize",
     "same_reflector",

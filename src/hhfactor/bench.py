@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HouseholderProduct, apply, materialize
+from .core import HouseholderProduct, apply
 from .generators import GeneratorSpec, synthesize
 
 LINEARITY_SLACK = (0.625, 1.375)  # accepted ratio window relative to m_hi/m_lo
@@ -28,6 +28,14 @@ def median_seconds(fn, repeats: int) -> float:
         fn()
         samples[i] = time.perf_counter() - start
     return float(np.median(samples))
+
+
+def check_m_list(m_list: tuple[int, ...]) -> None:
+    """Refuse an m below 1 and a repeated m: each m names one timing or one file."""
+    if min(m_list, default=1) < 1:
+        raise ValueError(f"m must be at least 1, got {min(m_list)}")
+    if len(set(m_list)) < len(m_list):
+        raise ValueError(f"m-list repeats a value: {','.join(map(str, m_list))}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +77,10 @@ def run_benchmark(
     m_list = tuple(sorted(m_list))
     if len(m_list) < 2:
         raise ValueError("need at least two m values to check scaling")
-    if m_list[0] < 1:
-        raise ValueError(f"m must be at least 1, got {m_list[0]}")
-    if len(set(m_list)) < len(m_list):
-        raise ValueError(f"m-list repeats a value: {','.join(map(str, m_list))}")
+    check_m_list(m_list)
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    _, product = synthesize(GeneratorSpec("gaussian", n=n, m=max(m_list), seed=seed))
-    dense = materialize(product)
+    dense, product = synthesize(GeneratorSpec("gaussian", n=n, m=max(m_list), seed=seed))
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal(n)
 

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import fileio
-from .bench import run_benchmark
+from .bench import check_m_list, run_benchmark
 from .core import apply as apply_product
 from .core import check_orthogonal
 from .decompose import _residual_bounds, greedy_decompose
@@ -40,24 +40,18 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _parse_range(text: str, upper: int) -> tuple[int, ...]:
-    """Parse "lo:hi" (inclusive) or a comma list; default covers 0..upper."""
+def _parse_range(text: str, upper: int) -> range:
+    """Parse an inclusive "lo:hi"; the empty default covers 0..upper."""
     if not text:
-        return tuple(range(upper + 1))
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+        return range(upper + 1)
+    lo, colon, hi = text.partition(":")
+    if not colon:
+        raise ValueError(f'--m-range must be "lo:hi", got {text!r}')
+    return range(int(lo), int(hi) + 1)
 
 
 def cmd_synth(args) -> int:
-    spec = GeneratorSpec(
-        distribution=args.dist,
-        n=args.n,
-        m=args.m,
-        seed=args.seed,
-        sparse_fraction=args.sparse_fraction,
-    )
+    spec = GeneratorSpec(args.dist, n=args.n, m=args.m, seed=args.seed)
     matrix, product = synthesize(spec)
     fileio.save_matrix(args.out, matrix)
     if args.factors:
@@ -83,13 +77,10 @@ def _run_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     m_list = _parse_int_list(args.m_list) if args.m_list else SWEEP_M_LIST
-    if min(m_list, default=1) < 1:  # checked before any cell writes its file
-        raise ValueError(f"sweep m must be at least 1: {','.join(map(str, m_list))}")
+    check_m_list(m_list)  # before outdir exists or any cell writes its file
     m_list = tuple(m for m in m_list if m <= args.n)
     if not m_list:
         raise ValueError(f"no sweep m is at most n={args.n}")
-    if len(set(m_list)) < len(m_list):  # each m names one output file
-        raise ValueError(f"sweep m-list repeats a value: {','.join(map(str, m_list))}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -97,11 +88,8 @@ def _run_sweep(args) -> int:
         index, m = cell_index_m
         spec = GeneratorSpec(args.dist, n=args.n, m=m, seed=args.seed + index)
         matrix, _ = synthesize(spec)
-        product, trace = greedy_decompose(matrix, max_m=args.n, eps=args.eps)
-        stem = f"{args.dist}_n{args.n}_m{m}"
-        fileio.save_trace_csv(outdir / f"{stem}.csv", trace)
-        if args.save_factors:
-            fileio.save_product(outdir / f"{stem}.hprod", product)
+        _, trace = greedy_decompose(matrix, max_m=args.n, eps=args.eps)
+        fileio.save_trace_csv(outdir / f"{args.dist}_n{args.n}_m{m}.csv", trace)
         return m, trace
 
     worst = EXIT_OK
@@ -171,12 +159,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = run_benchmark(
-        n=args.n,
-        m_list=_parse_int_list(args.m_list),
-        seed=args.seed,
-        repeats=args.repeats,
-    )
+    report = run_benchmark(n=args.n, m_list=_parse_int_list(args.m_list), repeats=args.repeats)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.linear_in_m else EXIT_INVALID
@@ -195,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sparse-fraction", type=float, default=0.02)
     p.add_argument("--out", required=True, help="matrix file to write")
     p.add_argument("--factors", help="also write the generating reflectors")
     p.set_defaults(func=cmd_synth)
@@ -220,16 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
-    p.add_argument(
-        "--save-factors",
-        action="store_true",
-        help="with --sweep: also write per-cell factored files",
-    )
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("bound", help="print the residual bound over a range of m")
     p.add_argument("input", help="matrix file")
-    p.add_argument("--m-range", default="", help='inclusive "lo:hi" or comma list')
+    p.add_argument("--m-range", default="", help='inclusive "lo:hi" (default 0:n)')
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("apply", help="apply a factored file to vectors")
@@ -245,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="factored apply vs dense multiply timings")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--m-list", default="8,16,32")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=300)
     p.set_defaults(func=cmd_bench)
 

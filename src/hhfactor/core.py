@@ -191,15 +191,7 @@ def symmetric_eigendecomposition(A) -> SymmetricSpectrum:
 
 
 def _fixed_subspace_dim(M: np.ndarray) -> int:
+    """dim {x : Mx = x}: n minus the rank of M - I at tolerance RANK_TOL_RTOL * sqrt(n)."""
     n = M.shape[0]
     singular_values = np.linalg.svd(M - np.eye(n), compute_uv=False)
     return int(n - np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n)))
-
-
-def eigenspace_one_dimension(V) -> int:
-    """Dimension of the fixed subspace {x : Vx = x} of an orthogonal matrix.
-
-    Computed as n minus the rank of V - I, where singular values at or below
-    RANK_TOL_RTOL * sqrt(n) = 1e-6 * sqrt(n) count as zero.
-    """
-    return _fixed_subspace_dim(check_orthogonal(V))

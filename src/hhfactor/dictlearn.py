@@ -186,10 +186,10 @@ class RecoveryResult:
 
 
 def _is_binary(y: np.ndarray) -> bool:
+    """Every entry within DECODE_ATOL of 0 or 1; true for an empty array."""
     rounded = np.rint(y)
-    if np.max(np.abs(y - rounded)) > DECODE_ATOL:
-        return False
-    return bool(rounded.min() >= 0.0 and rounded.max() <= 1.0)
+    near = np.all(np.abs(y - rounded) <= DECODE_ATOL)
+    return bool(near and np.all((rounded >= 0.0) & (rounded <= 1.0)))
 
 
 def _match_mask(U: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -312,10 +312,8 @@ def _pivot_matches(y_a: np.ndarray, y_b: np.ndarray, pivot: int) -> np.ndarray:
         for guess in (farthest, second, fitting, _likeliest_neighbour(fitting, y_a, free)):
             guesses[guess.tobytes()] = guess
     X = np.array(list(guesses.values())).reshape(-1, n)
-    solved, directions = _solve_rows(X, y_a, ones)
-    hits = _match_mask(directions, y_b)
-    distinct = dict(zip((X[row].tobytes() for row in solved[hits]), directions[hits]))
-    return np.array(list(distinct.values())).reshape(-1, n)
+    _, directions = _solve_rows(X, y_a, ones)
+    return directions[_match_mask(directions, y_b)]  # one row per distinct guess
 
 
 def recover(Y) -> RecoveryResult:
@@ -354,10 +352,8 @@ def recover(Y) -> RecoveryResult:
     index_a = index_b = duplicate = None
     for j in range(p):
         column = Y[:, j]
-        if np.linalg.norm(column) <= FIXED_ATOL:
-            continue  # zero column: satisfied by every direction
         if _is_binary(column):
-            continue  # possibly fixed by the dictionary; finite candidates mislead
+            continue  # zero, or possibly fixed by the dictionary: finite candidates mislead
         if index_a is not None and not np.all(np.abs(column - y_a) <= duplicate_atol):
             index_b = j
             break

@@ -209,6 +209,23 @@ def test_sweep_requires_outdir(capsys):
     assert "outdir" in capsys.readouterr().err
 
 
+def test_decompose_requires_an_input_without_sweep(capsys):
+    assert main(["decompose"]) == 1
+    captured = capsys.readouterr()
+    assert "input matrix file is required" in captured.err and captured.out == ""
+
+
+def test_sweep_exits_at_the_cap_when_eps_is_out_of_reach(tmp_path, capsys):
+    outdir = tmp_path / "sweep"
+    code = main(["decompose", "--sweep", "gaussian", "--outdir", str(outdir),
+                 "--n", "8", "--m-list", "2,3", "--eps", "1e-300"])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.endswith("termination=n_cap") for line in lines)
+    assert sorted(path.name for path in outdir.iterdir()) == [
+        "gaussian_n8_m2.csv", "gaussian_n8_m3.csv"]
+
+
 def test_bound_command_prints_rows(tmp_path, capsys):
     matrix_path = tmp_path / "v.mat"
     write_worked_matrix(matrix_path)
@@ -260,6 +277,23 @@ def test_bound_command_eigensolves_once(tmp_path, capsys, monkeypatch):
     assert main(["bound", str(matrix_path), "--m-range", "0:3"]) == 0
     assert calls == [(3, 3)]
     capsys.readouterr()
+
+
+def test_bound_command_defaults_to_every_m(tmp_path, capsys):
+    matrix_path = tmp_path / "v.mat"
+    write_worked_matrix(matrix_path)
+    assert main(["bound", str(matrix_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["m", "0", "1", "2", "3"]
+
+
+def test_bound_command_refuses_a_comma_list(tmp_path, capsys):
+    matrix_path = tmp_path / "v.mat"
+    write_worked_matrix(matrix_path)
+    assert main(["bound", str(matrix_path), "--m-range", "1,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert '"lo:hi"' in captured.err
 
 
 def test_bound_command_out_of_range_writes_no_rows(tmp_path, capsys):
@@ -469,6 +503,24 @@ def test_recover_has_no_max_n_flag(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["recover", str(data_path), "--max-n", "26"])
     assert "unrecognized arguments: --max-n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["synth", "--dist", "sparse", "--n", "8", "--m", "2", "--out", "{tmp}/v.mat",
+          "--sparse-fraction", "0.1"], "--sparse-fraction"),
+        (["decompose", "--sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8",
+          "--m-list", "2", "--save-factors"], "--save-factors"),
+        (["bench", "--n", "64", "--m-list", "4,8", "--seed", "1"], "--seed"),
+    ],
+    ids=["synth-sparse-fraction", "sweep-save-factors", "bench-seed"],
+)
+def test_removed_flags_are_unrecognized(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit):
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # refused before anything was written
 
 
 def test_bench_command_runs_on_small_sizes(capsys):

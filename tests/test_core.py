@@ -9,7 +9,6 @@ from hhfactor import (
     Reflector,
     apply,
     check_orthogonal,
-    eigenspace_one_dimension,
     enumerate_candidates,
     make_reflector,
     materialize,
@@ -53,6 +52,11 @@ def test_make_reflector_rejects_zero():
 def test_reflector_rejects_non_unit():
     with pytest.raises(ValueError, match="unit norm"):
         Reflector(np.array([1.0, 1.0]))
+
+
+def test_reflector_rejects_non_vector():
+    with pytest.raises(ValueError, match="must be a vector"):
+        Reflector(np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -299,6 +303,11 @@ def test_eigendecomposition_rejects_nonsymmetric():
         symmetric_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigendecomposition_rejects_non_square():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        symmetric_eigendecomposition(np.ones((2, 3)))
+
+
 def test_symmetric_part_eigenvalues_of_orthogonal_stay_in_unit_interval():
     # real parts of unit-modulus eigenvalues
     rng = np.random.default_rng(8)
@@ -317,30 +326,6 @@ def test_eigendecomposition_is_deterministic():
     second = symmetric_eigendecomposition(A.copy())
     np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
     np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
-
-
-# ------------------------------------------------------- fixed subspace dim
-
-
-def test_eigenspace_dimension_of_identity():
-    assert eigenspace_one_dimension(np.eye(6)) == 6
-
-
-def test_eigenspace_dimension_of_single_reflection():
-    rng = np.random.default_rng(10)
-    H = materialize(random_product(rng, 7, 1))
-    assert eigenspace_one_dimension(H) == 6
-
-
-def test_eigenspace_dimension_of_negated_identity():
-    assert eigenspace_one_dimension(-np.eye(5)) == 0
-
-
-@pytest.mark.parametrize("n,m", [(8, 1), (8, 5), (16, 9), (24, 24)])
-def test_eigenspace_dimension_of_random_products(n, m):
-    rng = np.random.default_rng(100 + n + m)
-    V = materialize(random_product(rng, n, m))
-    assert eigenspace_one_dimension(V) == n - m
 
 
 # --------------------------------------------------------------- validation

@@ -8,7 +8,6 @@ from hhfactor import (
     HouseholderProduct,
     Reflector,
     apply,
-    eigenspace_one_dimension,
     greedy_decompose,
     haar_orthogonal,
     make_reflector,
@@ -637,7 +636,7 @@ def test_fixed_dimension_from_symmetric_spectrum_matches_svd():
                 for seed in range(3):
                     W, _ = synthesize(GeneratorSpec(dist, n=n, m=m, seed=1000 * n + 10 * m + seed))
                     mu = np.linalg.eigvalsh(symmetric_part(W))
-                    assert n - _moving_rank(mu, n) == eigenspace_one_dimension(W), (dist, n, m, seed)
+                    assert _moving_rank(mu, n) == min_factors(W), (dist, n, m, seed)
                     checked += 1
     assert checked == len(DISTRIBUTIONS) * 27
 
@@ -893,6 +892,12 @@ def test_min_factors_examples():
     rng = np.random.default_rng(25)
     assert min_factors(materialize(random_product(rng, 7, 1))) == 1
     assert min_factors(-np.eye(8)) == 8
+
+
+@pytest.mark.parametrize("n,m", [(8, 1), (8, 5), (16, 9), (24, 24)])
+def test_min_factors_of_random_products(n, m):
+    rng = np.random.default_rng(100 + n + m)
+    assert min_factors(materialize(random_product(rng, n, m))) == m
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

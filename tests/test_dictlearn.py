@@ -242,6 +242,17 @@ def test_recover_requires_two_columns():
         recover(np.ones((4, 1)))
 
 
+def test_recover_requires_a_matrix():
+    with pytest.raises(ValueError, match="Y must be a matrix"):
+        recover(np.ones(3))
+
+
+def test_recover_without_rows_is_ambiguous():
+    # empty columns are binary, so none is informative
+    with pytest.raises(AmbiguousRecoveryError, match="fewer than two informative"):
+        recover(np.empty((0, 3)))
+
+
 def pivot_inconclusive_pair(rng, n, ones):
     """Two columns 1e-6 apart with equal norms: every coordinate admits both bits.
 

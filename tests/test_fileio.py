@@ -70,6 +70,11 @@ def per_value_format(M):
     return "\n".join(lines) + "\n"
 
 
+def test_format_matrix_rejects_non_matrix():
+    with pytest.raises(ValueError, match="expected a matrix"):
+        fileio.format_matrix(np.ones(3))
+
+
 def test_format_matrix_matches_per_value_format():
     tiny = np.finfo(float).tiny
     M = np.array(
@@ -145,6 +150,9 @@ def test_product_parse_errors(tmp_path):
         fileio.load_product(path)
     path.write_text("HPROD 3 2\n1 0 0\n")
     with pytest.raises(ValueError, match="reflector rows"):
+        fileio.load_product(path)
+    path.write_text("\n  \n\n")
+    with pytest.raises(ValueError, match="empty factored file"):
         fileio.load_product(path)
 
 

@@ -4,7 +4,6 @@ import pytest
 from hhfactor import (
     DISTRIBUTIONS,
     GeneratorSpec,
-    eigenspace_one_dimension,
     min_factors,
     symmetric_eigendecomposition,
     synthesize,
@@ -15,6 +14,8 @@ from hhfactor.generators import haar_orthogonal, reflector_directions
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown distribution"):
         GeneratorSpec("cauchy", 8, 2, 0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        GeneratorSpec("gaussian", n=0, m=1, seed=0)
     with pytest.raises(ValueError, match="m must be"):
         GeneratorSpec("gaussian", 8, 9, 0)
     with pytest.raises(ValueError, match="m must be"):
@@ -110,4 +111,4 @@ def test_haar_orthogonal_is_orthogonal():
     rng = np.random.default_rng(17)
     Q = haar_orthogonal(rng, 30)
     assert np.linalg.norm(Q.T @ Q - np.eye(30), "fro") <= 1e-10 * 30
-    assert eigenspace_one_dimension(Q) == 0  # generic: no fixed directions
+    assert min_factors(Q) == 30  # generic: no fixed directions
