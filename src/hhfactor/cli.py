@@ -41,12 +41,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str, upper: int) -> range:
-    """Parse an inclusive "lo:hi"; the empty default covers 0..upper."""
+    """Parse an inclusive "lo:hi" with lo <= hi; the empty default covers 0..upper."""
     if not text:
         return range(upper + 1)
     lo, colon, hi = text.partition(":")
     if not colon:
         raise ValueError(f'--m-range must be "lo:hi", got {text!r}')
+    if int(lo) > int(hi):
+        raise ValueError(f"--m-range {text!r} is empty: lo must not exceed hi")
     return range(int(lo), int(hi) + 1)
 
 

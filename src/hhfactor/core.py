@@ -19,7 +19,6 @@ SIGN_EPS = 1e-12        # entries at or below this do not anchor the canonical s
 UNIT_NORM_RTOL = 1e-12  # per-sqrt(n) slack on ||u|| = 1
 ORTHO_RTOL = 1e-8       # per-n slack on ||V^T V - I||_F
 SYM_RTOL = 1e-10        # per-n slack on ||A - A^T||_F
-RANK_TOL_RTOL = 1e-6    # per-sqrt(n) threshold on singular values of V - I
 
 
 def _canonical_rows(U: np.ndarray) -> np.ndarray:
@@ -188,10 +187,3 @@ def symmetric_eigendecomposition(A) -> SymmetricSpectrum:
         raise ValueError("input is not symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(M)
     return SymmetricSpectrum(eigenvalues, eigenvectors)
-
-
-def _fixed_subspace_dim(M: np.ndarray) -> int:
-    """dim {x : Mx = x}: n minus the rank of M - I at tolerance RANK_TOL_RTOL * sqrt(n)."""
-    n = M.shape[0]
-    singular_values = np.linalg.svd(M - np.eye(n), compute_uv=False)
-    return int(n - np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n)))

@@ -43,11 +43,9 @@ import numpy as np
 from scipy.linalg import schur
 
 from .core import (
-    RANK_TOL_RTOL,
     HouseholderProduct,
     Reflector,
     SymmetricSpectrum,
-    _fixed_subspace_dim,
     check_orthogonal,
     symmetric_eigendecomposition,
     symmetric_part,
@@ -56,6 +54,7 @@ from .core import (
 SYM_INPUT_RTOL = 1e-8  # per-n symmetry slack accepted by symmetric_decompose
 QR_SKIP_RTOL = 1e-12   # per-sqrt(n) slack for "column already reduced"
 RADICAND_NOISE = 64.0  # times n*eps: radicands below this are numerical zero
+RANK_TOL_RTOL = 1e-6   # per-sqrt(n) threshold on singular values of W - I in the trace
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,8 @@ def _moving_rank(eigenvalues: np.ndarray, n: int):
     """Rank of W - I for an orthogonal W, from the eigenvalues of sym(W).
 
     The singular values of W - I are sqrt(2(1 - mu)); those at or below the
-    n-dimensional rank tolerance of _fixed_subspace_dim count as zero. The
-    count runs along the last axis, so a (K, 2) stack gives one count per block.
+    rank tolerance RANK_TOL_RTOL * sqrt(n) count as zero. The count runs along
+    the last axis, so a (K, 2) stack gives one count per block.
     """
     singular_values = np.sqrt(2.0 * np.clip(1.0 - eigenvalues, 0.0, None))
     return np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n), axis=-1)
@@ -359,6 +358,19 @@ def _residual_bounds(M: np.ndarray):
         return float(np.sqrt(radicand))
 
     return bound
+
+
+def _fixed_subspace_dim(M: np.ndarray) -> int:
+    """dim {x : Mx = x}: n minus the number of singular values of M - I above roundoff.
+
+    A singular value sigma = sqrt(2(1 - mu)) counts when 1 - mu lies above the
+    floor RADICAND_NOISE * n * eps that _moving_subspace and _residual_bounds
+    apply, so when sigma > sqrt(2 * RADICAND_NOISE * n * eps).
+    """
+    n = M.shape[0]
+    singular_values = np.linalg.svd(M - np.eye(n), compute_uv=False)
+    floor = math.sqrt(2.0 * RADICAND_NOISE * n * np.finfo(float).eps)
+    return int(n - np.count_nonzero(singular_values > floor))
 
 
 def min_factors(V) -> int:

@@ -9,6 +9,14 @@ doubles exactly. The formats are line-oriented and diffable:
                  versions the format
   trace CSV      header "iter,residual,lambda_min,trace,dim_e1", one row per
                  completed iteration
+
+Matrix and factored files are read by numpy's loadtxt. Numbers are separated
+by any whitespace; lines holding only whitespace are skipped. A number is an
+ASCII decimal literal with an optional sign, point and e/E exponent, such as
+"1", "-0", "1.", ".5", "+1" or "1E5", read with correct rounding; nan, inf
+and literals that overflow are read and then refused as non-finite. Anything
+else raises ValueError, including "#", "1,5", hex floats ("0x1p3"),
+underscores ("1_0") and non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -46,22 +54,29 @@ def save_matrix(path, M: np.ndarray) -> None:
 
 
 def _parse_rows(lines: list[str], rows: int, cols: int, kind: str) -> np.ndarray:
-    """rows lines of cols numbers each; a wrong count or a non-finite entry raises ValueError."""
+    """rows lines of cols numbers; ValueError on a wrong count, bad token or non-finite entry."""
     if len(lines) != rows:
         raise ValueError(f"expected {rows} {kind} rows, found {len(lines)}")
-    M = np.empty((rows, cols))
-    for i, line in enumerate(lines):
-        values = line.split()
-        if len(values) != cols:
-            raise ValueError(f"row {i} has {len(values)} entries, expected {cols}")
-        M[i] = [float(v) for v in values]
+    if not lines:  # loadtxt warns on empty input
+        return np.empty((0, cols))
+    try:
+        # comments=None: a "#" is a bad token, not the start of a comment
+        M = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        if M.shape[1] != cols:
+            raise ValueError(f"rows have {M.shape[1]} entries, expected {cols}")
+    except ValueError:
+        for i, line in enumerate(lines):  # name the first row of the wrong length, if any
+            count = len(line.split())
+            if count != cols:
+                raise ValueError(f"row {i} has {count} entries, expected {cols}") from None
+        raise
     if not np.isfinite(M).all():  # "nan", "inf" and overflowing literals such as 1e999
         raise ValueError(f"{kind} file has non-finite entries")
     return M
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Read a matrix file's text; a wrong shape or a non-finite entry raises ValueError."""
+    """Read a matrix file's text; a wrong shape, bad token or non-finite entry raises ValueError."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty matrix file")

@@ -296,6 +296,15 @@ def test_bound_command_refuses_a_comma_list(tmp_path, capsys):
     assert '"lo:hi"' in captured.err
 
 
+def test_bound_command_refuses_a_reversed_range(tmp_path, capsys):
+    matrix_path = tmp_path / "v.mat"
+    write_worked_matrix(matrix_path)
+    assert main(["bound", str(matrix_path), "--m-range", "3:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m-range '3:1' is empty" in captured.err
+
+
 def test_bound_command_out_of_range_writes_no_rows(tmp_path, capsys):
     matrix_path = tmp_path / "swap.mat"
     fileio.save_matrix(matrix_path, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -382,6 +391,7 @@ def test_apply_rejects_overflowing_vectors(tmp_path, capsys):
         ("HPROD 3 1\n1 0 1e999\n", "non-finite entries"),
         ("HPROD 3 1\n0.6 0.8 1e-3\n", "unit norm"),
         ("HPROD 3 2\n1 0 0\n0.6 0.8\n", "row 1 has 2 entries, expected 3"),
+        ("HPROD 3 1\n1 0 1_0\n", "'1_0'"),
         ("HPROD -3 0\n", "negative dimension"),
     ],
 )

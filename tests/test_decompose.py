@@ -577,12 +577,34 @@ def test_greedy_never_ends_above_its_best_prefix():
 
 
 def test_greedy_borderline_rank_keeps_all_factors():
-    # min_factors counts 94, but the product needs all 96 reflections
+    # one plane turns by a few 1e-6 rad, above the roundoff floor: the product
+    # needs all 96 reflections, and min_factors counts all 96
     V, _ = synthesize(GeneratorSpec("exponential", n=96, m=96, seed=69))
-    assert min_factors(V) == 94
+    assert min_factors(V) == 96
     _, trace = greedy_decompose(V, eps=1e-6)
     assert trace.m == 96
     assert trace.termination == "converged"
+
+
+@pytest.mark.parametrize(
+    "dist, n, seed, expected",
+    [
+        ("exponential", 96, 11582553306743618756, 96),
+        ("exponential", 64, 7394952400341639618, 64),
+        ("gaussian", 80, 201482392679466658, 80),
+        # sigma(V - I) = 1.17e-6 twice: above eps/sqrt(2), so greedy keeps the
+        # plane at eps 1e-6, but under the roundoff floor 1.35e-6 at n = 64
+        ("exponential", 64, 6647808571131516706, 62),
+    ],
+)
+def test_min_factors_counts_planes_above_the_roundoff_floor(dist, n, seed, expected):
+    # n = m products whose smallest plane turns by 1e-6 to 1e-5 rad, so that
+    # min_factors depends on where its singular-value threshold lies
+    V, _ = synthesize(GeneratorSpec(dist, n=n, m=n, seed=seed))
+    _, trace = greedy_decompose(V, eps=1e-6)
+    assert trace.m == n
+    assert trace.termination == "converged"
+    assert min_factors(V) == expected
 
 
 def test_greedy_eigensolves_once_then_factors_one_schur_form(monkeypatch):
@@ -628,7 +650,8 @@ def test_greedy_eigensolves_once_then_factors_one_schur_form(monkeypatch):
 
 def test_fixed_dimension_from_symmetric_spectrum_matches_svd():
     # for orthogonal W, the singular values of W - I are sqrt(2(1 - mu)) over
-    # the eigenvalues mu of sym(W), so both rank counts must agree
+    # the eigenvalues mu of sym(W), so both rank counts must agree wherever no
+    # singular value lies between the trace's tolerance and min_factors' floor
     checked = 0
     for dist in DISTRIBUTIONS:
         for n in (16, 48, 96):

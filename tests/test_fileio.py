@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,8 +55,71 @@ def test_matrix_parse_shapes():
         fileio.parse_matrix("1 2\n1 2\n3 4\n")
     with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
         fileio.parse_matrix("2 2\n1 2\n3 4 5\n")
+    with pytest.raises(ValueError, match="row 0 has 3 entries, expected 2"):
+        fileio.parse_matrix("2 2\n1 2 3\n4 5 6\n")  # every row one too long
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
+        fileio.parse_matrix("3 2\n1 x\n3\n5 6\n")  # a wrong count is named before a bad token
+    with pytest.raises(ValueError, match="row 0 has 1 entries, expected 0"):
+        fileio.parse_matrix("1 0\n7\n")
     with pytest.raises(ValueError, match="expected 2 matrix rows, found 1"):
         fileio.parse_matrix("2 0\n1\n")
+
+
+def per_token_parse(text):
+    """The reader one float() per token: the reference for parse_matrix."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    rows, cols = (int(v) for v in lines[0].split())
+    M = np.empty((rows, cols))
+    for i, line in enumerate(lines[1:]):
+        M[i] = [float(v) for v in line.split()]
+    return M
+
+
+HAND_WRITTEN_TOKENS = (
+    "1.", ".5", "+1", "1E5", "-0", "-0.", "+.5e-3", "007", "1e0", "-1E+308",
+    "5e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308", "1e-320",
+    "1.7976931348623157e308", "0.1000000000000000055511151231257827",
+)
+NUMBER_TOKENS = st.one_of(
+    st.sampled_from(HAND_WRITTEN_TOKENS),
+    st.from_regex(
+        r"[+-]?([0-9]{1,20}\.?[0-9]{0,20}|\.[0-9]{1,20})([eE][+-]?[0-9]{1,2})?", fullmatch=True
+    ),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True).map(repr),
+)
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t", "\t "])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n \t\r\n"])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_reader_is_bit_identical_to_per_token_float(rows, cols, data):
+    lines = [f"{rows} {cols}"]
+    for _ in range(rows):
+        tokens = data.draw(st.lists(NUMBER_TOKENS, min_size=cols, max_size=cols))
+        line = data.draw(st.sampled_from(["", " ", "\t"])) + tokens[0]
+        for token in tokens[1:]:
+            line += data.draw(SEPARATORS) + token
+        lines.append(line + data.draw(st.sampled_from(["", " ", "\t"])))
+    text = "".join(line + data.draw(LINE_ENDS) for line in lines)
+    parsed = fileio.parse_matrix(text)
+    np.testing.assert_array_equal(parsed.view(np.uint64), per_token_parse(text).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1_0", "\u0661", "#", "1,5", "0x1p3"],
+    ids=["underscore", "arabic-indic-one", "hash", "decimal-comma", "hex-float"],
+)
+def test_reader_refuses_tokens_outside_the_number_syntax(tmp_path, token):
+    # float() reads "1_0" as 10 and the Arabic-Indic digit as 1; the reader
+    # refuses both, and reads "#" as a bad token, not as a comment
+    with pytest.raises(ValueError, match=re.escape(repr(token))):
+        fileio.parse_matrix(f"2 2\n1 {token}\n3 4\n")
+    path = tmp_path / "p.hprod"
+    path.write_text(f"HPROD 2 1\n{token} 0\n")
+    with pytest.raises(ValueError, match=re.escape(repr(token))):
+        fileio.load_product(path)
 
 
 @pytest.mark.parametrize("shape", [(2, 0), (0, 0), (0, 3)])
