@@ -8,19 +8,28 @@ smallest possible for exact members.
 
 Only the moving subspace, the orthogonal complement of ker(V - I), ever
 changes: it is invariant under V and under every greedy step. One n-by-n
-eigensolve at entry finds it and gives the p-by-p compression C = Q^T V Q,
-p = n - dim ker(V - I). One real Schur factorization C = Z T Z^T follows.
-An orthogonal matrix is normal, so T is block diagonal up to roundoff, with
-1-by-1 blocks (+-1) and 2-by-2 rotation blocks (Golub & Van Loan, Matrix
-Computations, 7.4). The symmetric part of T is then block diagonal too, and
-every greedy step reduces to one block: its bottom eigenvector is the
-reflector, and reflecting that block's rows of T keeps the block structure.
-The greedy therefore keeps only the diagonal blocks, as 2-by-2 squares (a
-1-by-1 block t padded to diag(t, 1)), and reads their bounds from one mask
-of T's subdiagonal, which LAPACK leaves exactly zero where a block ends. A
-reflection of a block's rows keeps the norm of their entries outside the
-block, so the Frobenius norm of T off its diagonal blocks is a constant
-part of the residual. For orthogonal W,
+eigensolve of sym(V) at entry finds it and gives the p-by-p compression
+C = Q^T V Q, p = n - dim ker(V - I), unless dropping ker(V - I) would cost
+more than eps/2; then Q holds all n eigenvectors. An orthogonal matrix is normal, so each
+eigenspace of sym(V) is V-invariant (Golub & Van Loan, Matrix Computations,
+7.4), and C is block diagonal by cluster of the sorted eigenvalues, cut
+where neighbours differ by more than the roundoff floor. A rotation by an
+angle of its own is a cluster of two, and its 2-by-2 block of C is a greedy
+block as it stands; so is each 1-by-1 block of a cluster at -1, where V is
+-I. A repeated angle, or the cluster at +1 when nothing is dropped, gives
+a larger cluster, which takes a real Schur
+factorization of its own: its form is block diagonal up to roundoff, with
+1-by-1 (+-1) and 2-by-2 rotation blocks that end where LAPACK leaves the
+subdiagonal exactly zero, and it separates planes by |e^{ia} - e^{ib}|. The
+norm of C off the blocks must stay within the roundoff floor; else, as when
+close angles fall in different clusters whose eigenvectors mix, one Schur
+factorization of all of C gives the blocks. The symmetric part is block
+diagonal too, so every greedy step reduces to one block: its bottom
+eigenvector is the reflector, and reflecting that block's rows keeps the
+block structure. The greedy keeps only the blocks, as 2-by-2 squares (a
+1-by-1 block t padded to diag(t, 1)). A reflection of a block's rows keeps
+the norm of their entries outside the block, so the norm off the blocks is
+a constant part of the residual. For orthogonal W,
 (W - I)^T (W - I) = 2(I - sym W), so the singular values of W - I are
 sqrt(2(1 - mu)) over the eigenvalues mu of sym W: the blocks' eigenvalues
 give the fixed-subspace dimension as well.
@@ -99,7 +108,7 @@ def _peel(rows: np.ndarray, directions: np.ndarray) -> None:
     rows[i] a whole working matrix and a_i the bottom eigenvector of its
     symmetric part, this is one greedy step, and ||I - rows[i]||_F afterwards
     is the distance between the old working matrix and the reflection. The
-    greedy passes its (K, 2, 2) stack of Schur blocks, each with the bottom
+    greedy passes its (K, 2, 2) stack of blocks, each with the bottom
     eigenvector of its own block's symmetric part.
     """
     rows -= 2.0 * directions[:, :, None] * (directions[:, None, :] @ rows)
@@ -116,48 +125,59 @@ def _moving_rank(eigenvalues: np.ndarray, n: int):
     return np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n), axis=-1)
 
 
-def _moving_subspace(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
-    """Compress M onto its moving subspace, when that drops less than eps/2.
+def _greedy_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
+    """Greedy's blocks of M, read off the clusters of the spectrum of sym(M).
 
-    Q holds the eigenvectors of sym(M) whose 1 - mu lies above the roundoff
-    floor. Returns (Q, C, rest) with C = Q^T M Q and
-    rest = ||(M - I) - Q (C - I) Q^T||_F. Q is None, C is M and rest 0 when
-    nothing is dropped or the dropped part is too large.
+    Q holds the eigenvectors whose 1 - mu lies above the roundoff floor, or
+    all n when that drops more than eps/2, and C = Q^T M Q is block diagonal
+    by cluster of mu, cut where sorted neighbours differ by more than the
+    floor. A cluster of one value, or within the floor of -1, where M is -I,
+    gives 1-by-1 blocks; a cluster of two is C's own rotation block; a larger
+    one takes a real Schur factorization, whose blocks end where LAPACK
+    leaves the subdiagonal exactly zero. If the norm of C off the blocks
+    exceeds the floor, all of C takes one Schur factorization instead.
+    Returns (lift, squares, columns, pairs, rest): lift maps block
+    coordinates to n dimensions; squares stacks the blocks, a 1-by-1 block t
+    padded to diag(t, 1), which adds nothing to its residual or rank and
+    which a reflection along (+-1, 0) keeps; columns[k] holds block k's
+    column indices (one column twice for a 1-by-1 block); pairs flags the
+    2-by-2 blocks; rest joins the dropped part with the norm off the blocks.
     """
     n = M.shape[0]
     floor = RADICAND_NOISE * n * np.finfo(float).eps
-    p = int(np.count_nonzero(1.0 - spectrum.eigenvalues > floor))
-    if p < n:
-        Q = spectrum.eigenvectors[:, :p]
+    mu = spectrum.eigenvalues
+    p = int(np.count_nonzero(1.0 - mu > floor))
+    Q = spectrum.eigenvectors[:, :p]
+    C = Q.T @ M @ Q
+    rest = float(np.linalg.norm((M - np.eye(n)) - Q @ (C - np.eye(p)) @ Q.T, "fro")) if p < n else 0.0
+    if rest > eps / 2.0:
+        p, rest, Q = n, 0.0, spectrum.eigenvectors
         C = Q.T @ M @ Q
-        rest = float(np.linalg.norm((M - np.eye(n)) - Q @ (C - np.eye(p)) @ Q.T, "fro"))
-        if rest <= eps / 2.0:
-            return Q, C, rest
-    return None, M, 0.0
-
-
-def _diagonal_blocks(T: np.ndarray):
-    """T's diagonal blocks as a (K, 2, 2) stack, and the norm of T outside them.
-
-    LAPACK leaves T's subdiagonal exactly zero wherever a block ends, so a
-    row starts a block unless the entry left of its diagonal is nonzero.
-    A 1-by-1 block t is padded to diag(t, 1): the pad adds nothing to the
-    block's residual or rank, eigh returns t and (+-1, 0) for it exactly
-    when t <= 1, and a reflection along (+-1, 0) keeps it. columns[k] holds
-    block k's column indices (the one column twice for a 1-by-1 block).
-    Reflecting a block's rows of T moves their entries outside the block
-    among themselves, so the Frobenius norm of those entries is fixed.
-    """
-    joined = np.append(False, np.diag(T, -1) != 0.0)[: T.shape[0]]  # row i is in row i-1's block
-    first = np.flatnonzero(~joined)
-    pairs = np.append(joined[1:], False)[first]
-    columns = first[:, None] + np.outer(pairs, [0, 1])
-    squares = T[columns[:, :, None], columns[:, None, :]]
+    cuts = np.flatnonzero(np.diff(mu[:p]) > floor) + 1
+    for retry in (False, True):
+        lift, W, joined = Q.copy(), C.copy(), np.zeros(p, dtype=bool)  # row i is in row i-1's block
+        for start, stop in [(0, p)] if retry else zip(np.append(0, cuts), np.append(cuts, p)):
+            if not retry and (stop - start < 2 or mu[stop - 1] + 1.0 <= floor):
+                continue
+            if not retry and stop - start == 2:
+                joined[start + 1] = True
+                continue
+            # a cluster's basis turns; the entries between clusters keep their norm
+            T, Z = schur(C[start:stop, start:stop], output="real")
+            W[start:stop, start:stop] = T
+            lift[:, start:stop] = lift[:, start:stop] @ Z
+            joined[start + 1 : stop] = np.diag(T, -1) != 0.0
+        first = np.flatnonzero(~joined)
+        pairs = np.append(joined[1:], False)[first]
+        columns = first[:, None] + np.outer(pairs, [0, 1])
+        squares = W[columns[:, :, None], columns[:, None, :]]
+        W[columns[:, :, None], columns[:, None, :]] = 0.0
+        outside = float(np.linalg.norm(W, "fro"))
+        if outside <= floor:
+            break
     squares[~pairs, 0, 1] = 0.0
     squares[~pairs, 1] = [0.0, 1.0]
-    outside = T.copy()
-    outside[columns[:, :, None], columns[:, None, :]] = 0.0
-    return squares, columns, pairs, float(np.linalg.norm(outside, "fro"))
+    return lift, squares, columns, pairs, math.hypot(rest, outside)
 
 
 def nearest_reflector(V) -> tuple[Reflector, float]:
@@ -194,18 +214,24 @@ def greedy_decompose(
     When V is exactly a product of p <= max_m reflections and eps lies
     between the roundoff those factors leave and exact-recovery scale
     (1e-6), the run converges with exactly p factors, and p is minimal;
-    min_factors provides the independent count.
+    min_factors provides the independent count. Below that roundoff a
+    roundoff rotation block in the Schur form of the +1 cluster can add two
+    factors (3 of 216 runs on exact products at eps 1e-14 and 1e-16).
 
-    One n-by-n eigensolve of sym(V) yields the moving subspace Q and
-    C = Q^T V Q, and one real Schur factorization C = Z T Z^T follows. The
-    greedy runs on the diagonal blocks of T, bounded where T's subdiagonal
-    is exactly zero: a (K, 2, 2) stack of squares with each 1-by-1 block t
-    padded to diag(t, 1). A step on a block reflects its square by its
-    bottom eigenvector a and lifts a to the n-dimensional factor
-    (QZ)[:, block] a. A step touches only its block, so the steps are taken
-    in three rounds: round r reflects every square for the r-th time, with
-    one stacked eigensolve and one stacked reflection, and appends to one
-    list per field, indexed [round][block], the bottom eigenvalue and
+    One n-by-n eigensolve of sym(V) yields the moving subspace Q, the
+    compression C = Q^T V Q and the clusters of its eigenvalues. _greedy_blocks
+    reads the blocks off the clusters: a cluster of two is C's own rotation
+    block, a cluster at -1 is 1-by-1 blocks, and only a larger cluster (a
+    repeated angle, or the one at +1 when nothing is dropped) takes a Schur
+    factorization, with Z its Schur vectors. Should the norm of C off the
+    blocks exceed the roundoff floor, one Schur factorization of all of C
+    gives the blocks instead. The greedy runs on a (K, 2, 2) stack of squares
+    with each 1-by-1 block t padded to diag(t, 1). A step on a block reflects
+    its square by its bottom eigenvector a and lifts a to the n-dimensional
+    factor (QZ)[:, block] a. A step touches only its block, so the steps are
+    taken in three rounds: round r reflects every square for the r-th time,
+    with one stacked eigensolve and one stacked reflection, and appends to
+    one list per field, indexed [round][block], the bottom eigenvalue and
     eigenvector, the squared norm of I minus the square, its diagonal sum
     and its count of singular values of W - I above the rank tolerance. The
     plan, fixed at entry, holds two steps per rotation block and one per -1
@@ -215,11 +241,12 @@ def greedy_decompose(
     cleared block is never stepped, and builds each trace row from the
     recorded sums: the residual is sqrt(sum of square norms + rest^2),
     because the product is orthogonal and ||product - V||_F = ||I - W||_F.
-    rest joins the part of V - I outside the compression with the norm of T
-    off its diagonal blocks, which no reflection of a block's rows changes.
-    trace = (tr V - tr T - the pads) + the diagonal sums, and dim_e1 = n -
-    the counts. The factors are lifted with one product QZ A. When the
-    dropped part exceeds eps/2, or nothing is dropped, Q = I.
+    rest joins the part of V - I outside the compression with the norm off
+    the blocks, which no reflection of a block's rows changes. trace = tr V
+    plus the change in the diagonal sums, and dim_e1 = n - the counts. The
+    factors are lifted with one product QZ A. Within a rotation plane, or a
+    repeated -1, any basis serves, so the factors depend on the blocks'
+    basis; their count and residual curve do not.
     """
     M = check_orthogonal(V)
     n = M.shape[0]
@@ -230,11 +257,7 @@ def greedy_decompose(
     if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
 
-    basis, C, rest = _moving_subspace(M, symmetric_eigendecomposition(symmetric_part(M)), eps)
-    T, Z = schur(C, output="real")
-    lift = Z if basis is None else basis @ Z
-    squares, columns, pairs, outside = _diagonal_blocks(T)
-    rest = math.hypot(rest, outside)
+    lift, squares, columns, pairs, rest = _greedy_blocks(M, symmetric_eigendecomposition(symmetric_part(M)), eps)
     # indexed [round][block]: two steps clear a rotation block, one a -1 block
     lambda_min, directions, norms, diagonals, moving = [], [], [], [], []
     for _ in range(3):
@@ -254,7 +277,7 @@ def greedy_decompose(
     block_norms = list(norms[0])
     block_diagonals = list(diagonals[0])
     moved = sum(moving[0])
-    dropped_trace = float(np.trace(M) - np.trace(T) - np.count_nonzero(~pairs))  # minus the pads
+    dropped_trace = float(np.trace(M)) - math.fsum(diagonals[0])
     rows: list[TraceRow] = []  # row j: the step plan[j]
     residual = math.hypot(math.sqrt(math.fsum(block_norms)), rest)
     while True:
@@ -273,7 +296,7 @@ def greedy_decompose(
     taken = np.array([step[1:] for step in plan[: len(rows)]], dtype=int).reshape(-1, 2)
     block_of, round_of = taken.T
     taken_directions = np.stack(directions)[round_of, block_of]
-    embedded = np.zeros((len(rows), T.shape[0]))
+    embedded = np.zeros((len(rows), lift.shape[1]))
     np.add.at(embedded, (np.arange(len(rows))[:, None], columns[block_of]), taken_directions)
 
     if residual <= eps:
@@ -364,7 +387,7 @@ def _fixed_subspace_dim(M: np.ndarray) -> int:
     """dim {x : Mx = x}: n minus the number of singular values of M - I above roundoff.
 
     A singular value sigma = sqrt(2(1 - mu)) counts when 1 - mu lies above the
-    floor RADICAND_NOISE * n * eps that _moving_subspace and _residual_bounds
+    floor RADICAND_NOISE * n * eps that _greedy_blocks and _residual_bounds
     apply, so when sigma > sqrt(2 * RADICAND_NOISE * n * eps).
     """
     n = M.shape[0]

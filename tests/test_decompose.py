@@ -305,6 +305,14 @@ def clustered_instances():
     for n, m, fraction in ((24, 24, 0.02), (32, 20, 0.1), (48, 48, 0.05), (64, 64, 0.02)):
         spec = GeneratorSpec("sparse", n=n, m=m, seed=100 + n, sparse_fraction=fraction)
         cases.append((f"sparse-n{n}-m{m}-f{fraction}", synthesize(spec)[0], n))
+    # pairs whose cosines differ by more than the roundoff floor fall in
+    # different clusters, though sym(V)'s eigenvectors mix their planes;
+    # only 1e-12 apart near pi do the cosines stay within it, in one cluster
+    for gap in (1e-12, 1e-9, 1e-7, 1e-5):
+        cases.append((f"pairs-{gap:g}-apart", rotations(rng, 24, [0.7, 0.7 + gap, 3.1, 3.1 + gap, 1.9], 1), 24))
+    for negatives in (3, 6):
+        cases.append((f"minus-one-times-{negatives}", rotations(rng, 24, [0.9, 1.7, 2.3], negatives), 24))
+    cases.append(("repeated-next-to-close-pair", rotations(rng, 24, [1.1] * 3 + [1.5, 1.5 + 1e-7, 0.6]), 24))
     return cases
 
 
@@ -364,27 +372,58 @@ def test_greedy_resolves_tiny_angles(case):
 # ------------------------------------- per-step block loop as an oracle
 
 
-def sequential_block_reference(V, max_m, eps):
-    """The greedy on the Schur blocks one step at a time, kept as an oracle.
+def schur_blocks(V, eps):
+    """Blocks of one real Schur form of V's compression, kept as an oracle.
 
-    Same entry eigensolve, compression and real Schur form as
-    greedy_decompose, but every step takes the block by argmin over all
-    blocks' eigenvalues, eigensolves that block alone, reflects its rows of
-    T, refreshes its squared row norms and sums the residual over all rows.
-    Returns the rows as (residual, lambda_min, trace, dim_e1) tuples, the
-    product, the final residual, trace and dim_e1, and the termination.
+    The compression drops the eigenvectors of sym(V) whose 1 - mu lies within
+    the roundoff floor, unless that drops more than eps/2. Returns (lift, T,
+    rest, blocks): T = lift^T V lift, rest the norm of the dropped part, and
+    blocks the slices where LAPACK left T's subdiagonal exactly zero.
     """
     n = V.shape[0]
     spectrum = symmetric_eigendecomposition(symmetric_part(V))
-    basis, C, rest = decompose._moving_subspace(V, spectrum, eps)
+    p = int(np.count_nonzero(1.0 - spectrum.eigenvalues > decompose.RADICAND_NOISE * n * np.finfo(float).eps))
+    basis, C, rest = None, V, 0.0
+    if p < n:
+        Q = spectrum.eigenvectors[:, :p]
+        compressed = Q.T @ V @ Q
+        dropped = float(np.linalg.norm((V - np.eye(n)) - Q @ (compressed - np.eye(p)) @ Q.T, "fro"))
+        if dropped <= eps / 2.0:
+            basis, C, rest = Q, compressed, dropped
     T, Z = schur(C, output="real")
-    lift = Z if basis is None else basis @ Z
-    identity = np.eye(T.shape[0])
-    blocks, start = [], 0  # a block ends where LAPACK left the subdiagonal exactly zero
+    blocks, start = [], 0
     while start < T.shape[0]:
         stop = start + (2 if start + 1 < T.shape[0] and T[start + 1, start] != 0.0 else 1)
         blocks.append(slice(start, stop))
         start = stop
+    return (Z if basis is None else basis @ Z), T, rest, blocks
+
+
+def cluster_blocks(V, eps):
+    """greedy_decompose's own blocks as (lift, T, rest, blocks), T block diagonal."""
+    spectrum = symmetric_eigendecomposition(symmetric_part(V))
+    lift, squares, columns, pairs, rest = decompose._greedy_blocks(V, spectrum, eps)
+    T = np.zeros((lift.shape[1],) * 2)
+    blocks = [slice(start, start + 1 + pair) for start, pair in zip(columns[:, 0], pairs)]
+    for block, square in zip(blocks, squares):
+        T[block, block] = square[: block.stop - block.start, : block.stop - block.start]
+    return lift, T, rest, blocks
+
+
+def sequential_block_reference(V, max_m, eps, blocks_of=schur_blocks):
+    """The greedy on blocks one step at a time, kept as an oracle.
+
+    blocks_of(V, eps) gives the blocks: by default one real Schur form of the
+    whole compression, independent of greedy_decompose's clusters. Every
+    step takes the block by argmin over all blocks' eigenvalues, eigensolves
+    that block alone, reflects its rows of T, refreshes its squared row norms
+    and sums the residual over all rows. Returns the rows as (residual,
+    lambda_min, trace, dim_e1) tuples, the product, the final residual,
+    trace and dim_e1, and the termination.
+    """
+    n = V.shape[0]
+    lift, T, rest, blocks = blocks_of(V, eps)
+    identity = np.eye(T.shape[0])
 
     def block_spectrum(block):
         square = T[block, block]
@@ -510,8 +549,17 @@ def test_greedy_matches_sequential_block_oracle(case):
             np.testing.assert_allclose(
                 [trace.final_residual, trace.final_trace], [residual, working_trace], rtol=0, atol=1e-8 * scale
             )
-            np.testing.assert_allclose(materialize(product), materialize(expected), rtol=0, atol=1e-9)
-            assert_same_factors_up_to_commuting_order(product.factors, expected.factors)
+            if trace.termination != "m_cap":
+                np.testing.assert_allclose(materialize(product), materialize(expected), rtol=0, atol=1e-9)
+            # sym is cos(theta) I within a rotation block, and -I within a
+            # repeated -1, so the reflections taken, and the product of a
+            # budget that stops inside such a block, depend on the basis
+            # there: they are compared with the same loop on greedy's blocks
+            _, same_blocks, _, _ = sequential_block_reference(V, max_m, eps, cluster_blocks)
+            assert same_blocks.m >= trace.m
+            same_blocks = HouseholderProduct(V.shape[0], same_blocks.directions[: trace.m])
+            np.testing.assert_allclose(materialize(product), materialize(same_blocks), rtol=0, atol=1e-9)
+            assert_same_factors_up_to_commuting_order(product.factors, same_blocks.factors)
 
 
 def det_minus_one_haar_32():
@@ -607,45 +655,81 @@ def test_min_factors_counts_planes_above_the_roundoff_floor(dist, n, seed, expec
     assert min_factors(V) == expected
 
 
-def test_greedy_eigensolves_once_then_factors_one_schur_form(monkeypatch):
-    # one n-by-n eigensolve at entry and one p-by-p real Schur factorization;
-    # after that eigh sees only stacks of blocks of at most 2-by-2, one stack
-    # per round, so the number of calls does not grow with p; no SVD is taken
+def recorder(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends each call's first argument's shape."""
+    shapes, original = [], getattr(module, name)
+
+    def recording(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return shapes
+
+
+def test_greedy_eigensolves_once_and_takes_schur_only_on_repeated_angles(monkeypatch):
+    # one n-by-n eigensolve at entry; after that eigh sees only stacks of
+    # blocks of at most 2-by-2, one stack per round, so the number of calls
+    # does not grow with p. Distinct angles take no Schur factorization, an
+    # angle repeated k times one of size 2k on its own cluster; no SVD is taken
     n = 64
-    sizes, schur_sizes, eigh_shapes = [], [], []
-    solver, schur_, eigh = decompose.symmetric_eigendecomposition, decompose.schur, np.linalg.eigh
-
-    def recording(A):
-        sizes.append(A.shape[0])
-        return solver(A)
-
-    def recording_schur(A, *args, **kwargs):
-        schur_sizes.append(A.shape[0])
-        return schur_(A, *args, **kwargs)
-
-    def recording_eigh(A, *args, **kwargs):
-        eigh_shapes.append(np.shape(A))
-        return eigh(A, *args, **kwargs)
+    sizes = recorder(monkeypatch, decompose, "symmetric_eigendecomposition")
+    schur_shapes = recorder(monkeypatch, decompose, "schur")
+    eigh_shapes = recorder(monkeypatch, np.linalg, "eigh")
 
     def no_svd(*args, **kwargs):
         raise AssertionError("greedy_decompose must not take an SVD")
 
-    monkeypatch.setattr(decompose, "symmetric_eigendecomposition", recording)
-    monkeypatch.setattr(decompose, "schur", recording_schur)
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(decompose, "_fixed_subspace_dim", no_svd)
-    calls = {}
-    for p in (6, 48):
-        sizes.clear(), schur_sizes.clear(), eigh_shapes.clear()
-        V = materialize(random_product(np.random.default_rng(42 + p), n, p))
+    rng = np.random.default_rng(42)
+    products = [(materialize(random_product(np.random.default_rng(42 + p), n, p)), p, []) for p in (6, 48)]
+    for k in (2, 5):
+        products.append((rotations(rng, n, [0.8] * k + [0.3, 1.9, 2.6], 1), 2 * k + 7, [(2 * k, 2 * k)]))
+    calls = []
+    for V, p, schur_expected in products:
+        sizes.clear(), schur_shapes.clear(), eigh_shapes.clear()
         _, trace = greedy_decompose(V, eps=1e-6)
         assert trace.m == p
-        assert sizes == [n]
-        assert schur_sizes == [p]
+        assert sizes == [(n, n)]
+        assert schur_shapes == schur_expected
         assert eigh_shapes[0] == (n, n)
         assert all(max(shape[-2:]) <= 2 for shape in eigh_shapes[1:]), eigh_shapes
-        calls[p] = len(eigh_shapes)
-    assert calls[6] == calls[48]
+        calls.append(len(eigh_shapes))
+    assert len(set(calls)) == 1
+
+
+def test_clustered_sweep_runs_every_block_route(monkeypatch):
+    # distinct angles and repeated -1s take no Schur factorization, a
+    # repeated angle takes one on its own cluster, and a pair of close angles
+    # split into two clusters couples them beyond the roundoff floor, so all
+    # of the compression takes one. Every instance has two or more distinct
+    # angles, so only that retry factors all p columns at once
+    schur_shapes = recorder(monkeypatch, decompose, "schur")
+    blocks_of = decompose._greedy_blocks
+    widths = []
+
+    def recording_blocks(*args):
+        blocks = blocks_of(*args)
+        widths.append(blocks[0].shape[1])
+        return blocks
+
+    monkeypatch.setattr(decompose, "_greedy_blocks", recording_blocks)
+    routes = {}
+    for label, V, max_m in CLUSTERED_INSTANCES:
+        for eps in (1e-6, 1e-10):
+            schur_shapes.clear(), widths.clear()
+            greedy_decompose(V, max_m=max_m, eps=eps)
+            if not schur_shapes:
+                route = "none"
+            elif schur_shapes[-1] == (widths[0], widths[0]):
+                route = "all of the compression"
+            else:
+                route = "own cluster"
+            routes.setdefault(route, []).append(label)
+    assert set(routes) == {"none", "own cluster", "all of the compression"}, routes
+    assert "minus-one-times-6" in routes["none"]
+    assert "repeated-angles" in routes["own cluster"]
+    assert "pairs-1e-05-apart" in routes["all of the compression"]
 
 
 def test_fixed_dimension_from_symmetric_spectrum_matches_svd():
