@@ -26,7 +26,6 @@ from .decompose import (
     TraceRow,
     greedy_decompose,
     min_factors,
-    nearest_reflector,
     qr_baseline,
     residual_upper_bound,
     symmetric_decompose,
@@ -63,7 +62,6 @@ __all__ = [
     "TraceRow",
     "greedy_decompose",
     "min_factors",
-    "nearest_reflector",
     "qr_baseline",
     "residual_upper_bound",
     "symmetric_decompose",

@@ -7,24 +7,29 @@ product matches the input, and the number of factors used is provably the
 smallest possible for exact members.
 
 Only the moving subspace, the orthogonal complement of ker(V - I), ever
-changes: it is invariant under V and under every greedy step. One n-by-n
-eigensolve of sym(V) at entry finds it and gives the p-by-p compression
-C = Q^T V Q, p = n - dim ker(V - I), unless dropping ker(V - I) would cost
-more than eps/2; then Q holds all n eigenvectors. An orthogonal matrix is normal, so each
-eigenspace of sym(V) is V-invariant (Golub & Van Loan, Matrix Computations,
-7.4), and C is block diagonal by cluster of the sorted eigenvalues, cut
-where neighbours differ by more than the roundoff floor. A rotation by an
-angle of its own is a cluster of two, and its 2-by-2 block of C is a greedy
-block as it stands; so is each 1-by-1 block of a cluster at -1, where V is
--I. A repeated angle, or the cluster at +1 when nothing is dropped, gives
-a larger cluster, which takes a real Schur
-factorization of its own: its form is block diagonal up to roundoff, with
-1-by-1 (+-1) and 2-by-2 rotation blocks that end where LAPACK leaves the
-subdiagonal exactly zero, and it separates planes by |e^{ia} - e^{ib}|. The
-norm of C off the blocks must stay within the roundoff floor; else, as when
-close angles fall in different clusters whose eigenvectors mix, one Schur
-factorization of all of C gives the blocks. The symmetric part is block
-diagonal too, so every greedy step reduces to one block: its bottom
+changes: it is invariant under V and under every greedy step. One eigensolve
+at entry finds it and gives the p-by-p compression C = Q^T V Q,
+p = n - dim ker(V - I), unless dropping ker(V - I) would cost more than
+eps/2; then Q holds all n eigenvectors of sym(V). Since
+||V - I||_F^2 = 2(n - tr V) and ||V - I||_2 <= 2, rank(V - I) is at least
+(n - tr V)/2; when that is at most n/4, blocked Gram-Schmidt on V - I finds
+a basis of its range in O(n^2 p), and the eigensolve is of the r-by-r
+compression to it. Past n/4 columns, or when that route would drop more
+than eps/2, the n-by-n eigensolve of sym(V) runs instead. An orthogonal
+matrix is normal, so each eigenspace of sym(V) is V-invariant (Golub &
+Van Loan, Matrix Computations, 7.4), and C is block diagonal by cluster of
+the sorted eigenvalues, cut where neighbours differ by more than the
+roundoff floor. A rotation by an angle of its own is a cluster of two, and
+its 2-by-2 block of C is a greedy block as it stands; so is each 1-by-1
+block of a cluster at -1, where V is -I. A repeated angle, or the cluster
+at +1 when nothing is dropped, gives a larger cluster, which takes a real
+Schur factorization of its own: its form is block diagonal up to roundoff,
+with 1-by-1 (+-1) and 2-by-2 rotation blocks that end where LAPACK leaves
+the subdiagonal exactly zero, and it separates planes by |e^{ia} - e^{ib}|.
+The norm of C off the blocks must stay within the roundoff floor; else, as
+when close angles fall in different clusters whose eigenvectors mix, one
+Schur factorization of all of C gives the blocks. The symmetric part is
+block diagonal too, so every greedy step reduces to one block: its bottom
 eigenvector is the reflector, and reflecting that block's rows keeps the
 block structure. The greedy keeps only the blocks, as 2-by-2 squares (a
 1-by-1 block t padded to diag(t, 1)). A reflection of a block's rows keeps
@@ -49,11 +54,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import qr, schur
 
 from .core import (
     HouseholderProduct,
-    Reflector,
     SymmetricSpectrum,
     check_orthogonal,
     symmetric_eigendecomposition,
@@ -63,7 +67,8 @@ from .core import (
 SYM_INPUT_RTOL = 1e-8  # per-n symmetry slack accepted by symmetric_decompose
 QR_SKIP_RTOL = 1e-12   # per-sqrt(n) slack for "column already reduced"
 RADICAND_NOISE = 64.0  # times n*eps: radicands below this are numerical zero
-RANK_TOL_RTOL = 1e-6   # per-sqrt(n) threshold on singular values of W - I in the trace
+GS_BLOCK = 8           # columns per Gram-Schmidt pass: p <= 8 takes one pass of rank-8 updates
+RANGE_SHARE = 4        # past n/4 columns the range basis costs about the n-by-n eigh it saves
 
 
 @dataclass(frozen=True)
@@ -117,41 +122,90 @@ def _peel(rows: np.ndarray, directions: np.ndarray) -> None:
 def _moving_rank(eigenvalues: np.ndarray, n: int):
     """Rank of W - I for an orthogonal W, from the eigenvalues of sym(W).
 
-    The singular values of W - I are sqrt(2(1 - mu)); those at or below the
-    rank tolerance RANK_TOL_RTOL * sqrt(n) count as zero. The count runs along
-    the last axis, so a (K, 2) stack gives one count per block.
+    A singular value sqrt(2(1 - mu)) of W - I counts when 1 - mu exceeds the
+    roundoff floor RADICAND_NOISE * n * eps, as in min_factors. The count runs
+    along the last axis, so a (K, 2) stack gives one count per block.
     """
-    singular_values = np.sqrt(2.0 * np.clip(1.0 - eigenvalues, 0.0, None))
-    return np.count_nonzero(singular_values > RANK_TOL_RTOL * np.sqrt(n), axis=-1)
+    return np.count_nonzero(1.0 - eigenvalues > RADICAND_NOISE * n * np.finfo(float).eps, axis=-1)
 
 
-def _greedy_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
-    """Greedy's blocks of M, read off the clusters of the spectrum of sym(M).
+def _range_basis(M: np.ndarray):
+    """(Q, C, dropped) for an orthonormal basis Q of range(M - I); None past n / RANGE_SHARE columns.
 
-    Q holds the eigenvectors whose 1 - mu lies above the roundoff floor, or
-    all n when that drops more than eps/2, and C = Q^T M Q is block diagonal
-    by cluster of mu, cut where sorted neighbours differ by more than the
+    C = Q^T M Q and dropped = ||M - I - Q (C - I) Q^T||_F. Blocked,
+    column-pivoted Gram-Schmidt: each pass takes the GS_BLOCK residual
+    columns of largest norm, orthogonalizes them against Q a second time,
+    keeps the columns of their pivoted QR with |r_jj| above roundoff and
+    deflates the residual, until a pass keeps none. Q <- qr((M - I) Q) then
+    takes back what roundoff left outside span(Q).
+    """
+    n = M.shape[0]
+    A = M - np.eye(n)
+    R, Q = A.copy(), np.empty((n, 0))
+    while Q.shape[1] <= n / RANGE_SHARE:
+        P = R[:, np.argsort(np.einsum("ij,ij->j", R, R))[-GS_BLOCK:]]
+        P -= Q @ (Q.T @ P)
+        Z, T, _ = qr(P, mode="economic", pivoting=True)
+        Z = Z[:, np.abs(np.diag(T)) > RADICAND_NOISE * n * np.finfo(float).eps]
+        if Z.shape[1] == 0:
+            Q = qr(A @ Q, mode="economic")[0]
+            C = Q.T @ A @ Q
+            np.matmul(Q @ C, Q.T, out=R)  # in the residual's buffer: no other n-by-n array
+            R -= A
+            return Q, C + np.eye(Q.shape[1]), float(np.linalg.norm(R))
+        Q = np.hstack((Q, Z))
+        R -= Z @ (Z.T @ R)
+    return None
+
+
+def _greedy_blocks(M: np.ndarray, eps: float):
+    """Greedy's blocks of M, from a basis of range(M - I) when its rank may be small.
+
+    rank(M - I) >= (n - tr M)/2, so _range_basis runs only when that is at
+    most n / RANGE_SHARE, and its r-by-r C feeds _spectral_blocks. When it
+    gives up, or the compression drops more than eps/2, the n-by-n eigensolve
+    of sym(M) runs, the one route that can keep all n directions.
+    """
+    n = M.shape[0]
+    basis = _range_basis(M) if n - np.trace(M) <= 2.0 * n / RANGE_SHARE else None
+    if basis is not None:
+        Q, C, dropped = basis
+        blocks = _spectral_blocks(C, symmetric_eigendecomposition(symmetric_part(C)), n, eps, dropped)
+        if blocks is not None:
+            return (Q @ blocks[0],) + blocks[1:]
+    return _spectral_blocks(M, symmetric_eigendecomposition(symmetric_part(M)), n, eps)
+
+
+def _spectral_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, n: int, eps: float, dropped: float = 0.0):
+    """Greedy's blocks of an r-by-r M, r <= n, read off the clusters of the spectrum of sym(M).
+
+    Q holds the eigenvectors whose 1 - mu lies above the roundoff floor of
+    the input's order n, or, when that with dropped loses more than eps/2,
+    all of them if r = n (else None). C = Q^T M Q is block diagonal by
+    cluster of mu, cut where sorted neighbours differ by more than the
     floor. A cluster of one value, or within the floor of -1, where M is -I,
     gives 1-by-1 blocks; a cluster of two is C's own rotation block; a larger
     one takes a real Schur factorization, whose blocks end where LAPACK
     leaves the subdiagonal exactly zero. If the norm of C off the blocks
     exceeds the floor, all of C takes one Schur factorization instead.
     Returns (lift, squares, columns, pairs, rest): lift maps block
-    coordinates to n dimensions; squares stacks the blocks, a 1-by-1 block t
+    coordinates to r dimensions; squares stacks the blocks, a 1-by-1 block t
     padded to diag(t, 1), which adds nothing to its residual or rank and
     which a reflection along (+-1, 0) keeps; columns[k] holds block k's
     column indices (one column twice for a 1-by-1 block); pairs flags the
-    2-by-2 blocks; rest joins the dropped part with the norm off the blocks.
+    2-by-2 blocks; rest joins the dropped parts with the norm off the blocks.
     """
-    n = M.shape[0]
+    r = M.shape[0]
     floor = RADICAND_NOISE * n * np.finfo(float).eps
     mu = spectrum.eigenvalues
-    p = int(np.count_nonzero(1.0 - mu > floor))
+    p = int(_moving_rank(mu, n))
     Q = spectrum.eigenvectors[:, :p]
     C = Q.T @ M @ Q
-    rest = float(np.linalg.norm((M - np.eye(n)) - Q @ (C - np.eye(p)) @ Q.T, "fro")) if p < n else 0.0
+    rest = math.hypot(dropped, np.linalg.norm((M - np.eye(r)) - Q @ (C - np.eye(p)) @ Q.T, "fro")) if p < r else dropped
     if rest > eps / 2.0:
-        p, rest, Q = n, 0.0, spectrum.eigenvectors
+        if r < n:
+            return None
+        p, rest, Q = r, 0.0, spectrum.eigenvectors
         C = Q.T @ M @ Q
     cuts = np.flatnonzero(np.diff(mu[:p]) > floor) + 1
     for retry in (False, True):
@@ -180,21 +234,6 @@ def _greedy_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, eps: float):
     return lift, squares, columns, pairs, math.hypot(rest, outside)
 
 
-def nearest_reflector(V) -> tuple[Reflector, float]:
-    """Closest single reflection to an orthogonal matrix and its distance.
-
-    The minimizer is H = I - 2uu^T with u a bottom eigenvector of the
-    symmetric part. The distance is ||I - HV||_F, evaluated directly; it
-    equals sqrt(2n - 2 tr(V) + 4 lambda_min((V + V^T)/2)), whose cancellation
-    near zero it avoids.
-    """
-    M = check_orthogonal(V)
-    working = M.copy()
-    u = symmetric_eigendecomposition(symmetric_part(M)).eigenvectors[:, 0]
-    _peel(working[None], u[None])
-    return Reflector(u), float(np.linalg.norm(working - np.eye(M.shape[0]), "fro"))
-
-
 def greedy_decompose(
     V,
     max_m: int | None = None,
@@ -218,35 +257,36 @@ def greedy_decompose(
     roundoff rotation block in the Schur form of the +1 cluster can add two
     factors (3 of 216 runs on exact products at eps 1e-14 and 1e-16).
 
-    One n-by-n eigensolve of sym(V) yields the moving subspace Q, the
-    compression C = Q^T V Q and the clusters of its eigenvalues. _greedy_blocks
-    reads the blocks off the clusters: a cluster of two is C's own rotation
-    block, a cluster at -1 is 1-by-1 blocks, and only a larger cluster (a
-    repeated angle, or the one at +1 when nothing is dropped) takes a Schur
-    factorization, with Z its Schur vectors. Should the norm of C off the
-    blocks exceed the roundoff floor, one Schur factorization of all of C
-    gives the blocks instead. The greedy runs on a (K, 2, 2) stack of squares
-    with each 1-by-1 block t padded to diag(t, 1). A step on a block reflects
-    its square by its bottom eigenvector a and lifts a to the n-dimensional
-    factor (QZ)[:, block] a. A step touches only its block, so the steps are
-    taken in three rounds: round r reflects every square for the r-th time,
-    with one stacked eigensolve and one stacked reflection, and appends to
-    one list per field, indexed [round][block], the bottom eigenvalue and
-    eigenvector, the squared norm of I minus the square, its diagonal sum
-    and its count of singular values of W - I above the rank tolerance. The
-    plan, fixed at entry, holds two steps per rotation block and one per -1
-    block in the order of always taking the block with the smallest bottom
-    eigenvalue, ties going to the first block. A scalar loop walks it until
-    the residual is within eps, the budget is spent or the plan ends, so a
-    cleared block is never stepped, and builds each trace row from the
-    recorded sums: the residual is sqrt(sum of square norms + rest^2),
-    because the product is orthogonal and ||product - V||_F = ||I - W||_F.
-    rest joins the part of V - I outside the compression with the norm off
-    the blocks, which no reflection of a block's rows changes. trace = tr V
-    plus the change in the diagonal sums, and dim_e1 = n - the counts. The
-    factors are lifted with one product QZ A. Within a rotation plane, or a
-    repeated -1, any basis serves, so the factors depend on the blocks'
-    basis; their count and residual curve do not.
+    One eigensolve, of the r-by-r compression to a Gram-Schmidt basis of
+    range(V - I) or else of the n-by-n sym(V) (see _greedy_blocks), yields the
+    moving subspace Q, the compression C = Q^T V Q and the clusters of its
+    eigenvalues. _spectral_blocks reads the blocks off the clusters: a cluster
+    of two is C's own rotation block, a cluster at -1 is 1-by-1 blocks, and
+    only a larger cluster (a repeated angle, or the one at +1 when nothing is
+    dropped) takes a Schur factorization, with Z its Schur vectors. Should the
+    norm of C off the blocks exceed the roundoff floor, one Schur
+    factorization of all of C gives the blocks instead. The greedy runs on a
+    (K, 2, 2) stack of squares with each 1-by-1 block t padded to diag(t, 1).
+    A step on a block reflects its square by its bottom eigenvector a and
+    lifts a to the n-dimensional factor (QZ)[:, block] a. A step touches only
+    its block, so the steps are taken in three rounds: round r reflects every
+    square for the r-th time, with one stacked eigensolve and one stacked
+    reflection, and appends to one list per field, indexed [round][block], the
+    bottom eigenvalue and eigenvector, the squared norm of I minus the square,
+    its diagonal sum and its count of singular values of W - I above the rank
+    floor. The plan, fixed at entry, holds two steps per rotation block and
+    one per -1 block in the order of always taking the block with the smallest
+    bottom eigenvalue, ties going to the first block. A scalar loop walks it
+    until the residual is within eps, the budget is spent or the plan ends, so
+    a cleared block is never stepped, and builds each trace row from the
+    recorded sums: the residual is sqrt(sum of square norms + rest^2), because
+    the product is orthogonal and ||product - V||_F = ||I - W||_F. rest joins
+    the part of V - I outside the compression with the norm off the blocks,
+    which no reflection of a block's rows changes. trace = tr V plus the
+    change in the diagonal sums, and dim_e1 = n - the counts. The factors are
+    lifted with one product QZ A. Within a rotation plane, or a repeated -1,
+    any basis serves, so the factors depend on the blocks' basis; their count
+    and residual curve do not.
     """
     M = check_orthogonal(V)
     n = M.shape[0]
@@ -257,7 +297,7 @@ def greedy_decompose(
     if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
 
-    lift, squares, columns, pairs, rest = _greedy_blocks(M, symmetric_eigendecomposition(symmetric_part(M)), eps)
+    lift, squares, columns, pairs, rest = _greedy_blocks(M, eps)
     # indexed [round][block]: two steps clear a rotation block, one a -1 block
     lambda_min, directions, norms, diagonals, moving = [], [], [], [], []
     for _ in range(3):
@@ -387,7 +427,7 @@ def _fixed_subspace_dim(M: np.ndarray) -> int:
     """dim {x : Mx = x}: n minus the number of singular values of M - I above roundoff.
 
     A singular value sigma = sqrt(2(1 - mu)) counts when 1 - mu lies above the
-    floor RADICAND_NOISE * n * eps that _greedy_blocks and _residual_bounds
+    floor RADICAND_NOISE * n * eps that _moving_rank and _residual_bounds
     apply, so when sigma > sqrt(2 * RADICAND_NOISE * n * eps).
     """
     n = M.shape[0]

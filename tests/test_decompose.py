@@ -13,7 +13,6 @@ from hhfactor import (
     make_reflector,
     materialize,
     min_factors,
-    nearest_reflector,
     qr_baseline,
     residual_upper_bound,
     same_reflector,
@@ -34,14 +33,6 @@ def random_product(rng, n, m):
     )
 
 
-def reflection_pair(rng, n):
-    """Product of two random reflections plus their mutual inner product."""
-    u1 = make_reflector(rng.standard_normal(n)).u
-    u2 = make_reflector(rng.standard_normal(n)).u
-    V = materialize(HouseholderProduct(n, [u1, u2]))
-    return V, u1 @ u2
-
-
 def truncated_residuals(V, trace):
     """Greedy residual after m = 0..n factors, read off one full trace."""
     n = V.shape[0]
@@ -50,40 +41,6 @@ def truncated_residuals(V, trace):
     while len(residuals) < n + 1:
         residuals.append(trace.final_residual)  # run converged before m factors
     return residuals
-
-
-# --------------------------------------------------------- nearest_reflector
-
-
-def test_nearest_reflector_recovers_exact_member(reflection_3x3):
-    reflector, residual = nearest_reflector(reflection_3x3)
-    np.testing.assert_allclose(reflector.u, U_3X3, atol=1e-12)
-    assert residual <= 1e-12
-
-
-def test_nearest_reflector_distance_from_identity():
-    _, residual = nearest_reflector(np.eye(9))
-    np.testing.assert_allclose(residual, 2.0, atol=1e-12)
-
-
-def test_nearest_reflector_distance_from_reflection_pair_is_two():
-    # closed form: 2n - 2(n - 4 + 4k^2) + 4(-1 + 2k^2) = 4 for any k
-    rng = np.random.default_rng(11)
-    for n in (4, 9, 20):
-        V, _ = reflection_pair(rng, n)
-        reflector, residual = nearest_reflector(V)
-        np.testing.assert_allclose(residual, 2.0, atol=1e-10)
-        H = np.eye(n) - 2 * np.outer(reflector.u, reflector.u)
-        np.testing.assert_allclose(np.linalg.norm(V - H, "fro"), residual, atol=1e-8)
-
-
-def test_nearest_reflector_closed_form_matches_direct_distance():
-    rng = np.random.default_rng(12)
-    for n in (5, 13, 32):
-        V = haar_orthogonal(rng, n)
-        reflector, residual = nearest_reflector(V)
-        H = np.eye(n) - 2 * np.outer(reflector.u, reflector.u)
-        np.testing.assert_allclose(np.linalg.norm(V - H, "fro"), residual, atol=1e-8)
 
 
 # ---------------------------------------------------------- greedy_decompose
@@ -180,13 +137,14 @@ def test_greedy_rejects_non_finite_input(bad):
 def dense_greedy_reference(V, max_m, eps):
     """The greedy loop without moving-subspace compression, kept as an oracle.
 
-    Every step runs a full n-by-n eigh, takes dim_e1 from an SVD of W - I, and
-    measures the residual against a dense accumulated product. Returns the
+    Every step runs a full n-by-n eigh, takes dim_e1 from an SVD of W - I
+    against the rank floor sqrt(2 * RADICAND_NOISE * n * eps), and measures
+    the residual against a dense accumulated product. Returns the
     rows as (residual, lambda_min, trace, dim_e1) tuples, the factor count,
     the final residual, trace and dim_e1, and the termination.
     """
     n = V.shape[0]
-    tol = 1e-6 * np.sqrt(n)
+    tol = np.sqrt(2.0 * decompose.RADICAND_NOISE * n * np.finfo(float).eps)
 
     def fixed_dim(W):
         return n - int(np.count_nonzero(np.linalg.svd(W - np.eye(n), compute_uv=False) > tol))
@@ -290,7 +248,7 @@ def rotations(rng, n, angles, negatives=0):
     return Q @ D @ Q.T
 
 
-RANK_TOL_24 = 1e-6 * np.sqrt(24)  # the rank tolerance at n = 24
+RANK_FLOOR_24 = np.sqrt(2.0 * decompose.RADICAND_NOISE * 24 * np.finfo(float).eps)  # 8.2e-7 at n = 24
 
 
 def clustered_instances():
@@ -317,15 +275,15 @@ def clustered_instances():
 
 
 def tiny_angle_instances():
-    """(label, V, planted factor count) with angles around the rank tolerance.
+    """(label, V, planted factor count) with angles around the rank floor.
 
     Angles of 1e-7 and 1e-5 rotate by far less than eps = 1e-6 can see but far
-    more than roundoff; 0.5 and 2 times the rank tolerance sit on either side
+    more than roundoff; 0.5 and 2 times the rank floor sit on either side
     of the fixed-subspace decision.
     """
     rng = np.random.default_rng(44)
-    straddling = [0.3, 0.5 * RANK_TOL_24, 2.0 * RANK_TOL_24, 1e-7, 1e-5]
-    repeated = [3.0 * RANK_TOL_24] * 3 + [0.2 * RANK_TOL_24] * 2
+    straddling = [0.3, 0.5 * RANK_FLOOR_24, 2.0 * RANK_FLOOR_24, 1e-7, 1e-5]
+    repeated = [3.0 * RANK_FLOOR_24] * 3 + [0.2 * RANK_FLOOR_24] * 2
     return [
         ("tiny-angles-at-rank-tol", rotations(rng, 24, straddling, 1), 11),
         ("tiny-repeated-angles", rotations(rng, 24, repeated), 10),
@@ -401,8 +359,7 @@ def schur_blocks(V, eps):
 
 def cluster_blocks(V, eps):
     """greedy_decompose's own blocks as (lift, T, rest, blocks), T block diagonal."""
-    spectrum = symmetric_eigendecomposition(symmetric_part(V))
-    lift, squares, columns, pairs, rest = decompose._greedy_blocks(V, spectrum, eps)
+    lift, squares, columns, pairs, rest = decompose._greedy_blocks(V, eps)
     T = np.zeros((lift.shape[1],) * 2)
     blocks = [slice(start, start + 1 + pair) for start, pair in zip(columns[:, 0], pairs)]
     for block, square in zip(blocks, squares):
@@ -524,13 +481,12 @@ def sequential_instances():
 SEQUENTIAL_INSTANCES = sequential_instances()
 
 
-@pytest.mark.parametrize("case", SEQUENTIAL_INSTANCES, ids=[c[0] for c in SEQUENTIAL_INSTANCES])
-def test_greedy_matches_sequential_block_oracle(case):
-    _, V, budgets, eps_values = case
+def assert_matches_sequential_oracle(V, budgets, eps_values, greedy=greedy_decompose):
+    """greedy(V, max_m, eps) agrees with sequential_block_reference on every budget and eps."""
     scale = max(1.0, float(np.linalg.norm(np.eye(V.shape[0]) - V, "fro")))
     for max_m in budgets:
         for eps in eps_values:
-            product, trace = greedy_decompose(V, max_m=max_m, eps=eps)
+            product, trace = greedy(V, max_m=max_m, eps=eps)
             rows, expected, (residual, working_trace, dim_e1), termination = (
                 sequential_block_reference(V, max_m, eps)
             )
@@ -560,6 +516,12 @@ def test_greedy_matches_sequential_block_oracle(case):
             same_blocks = HouseholderProduct(V.shape[0], same_blocks.directions[: trace.m])
             np.testing.assert_allclose(materialize(product), materialize(same_blocks), rtol=0, atol=1e-9)
             assert_same_factors_up_to_commuting_order(product.factors, same_blocks.factors)
+
+
+@pytest.mark.parametrize("case", SEQUENTIAL_INSTANCES, ids=[c[0] for c in SEQUENTIAL_INSTANCES])
+def test_greedy_matches_sequential_block_oracle(case):
+    _, V, budgets, eps_values = case
+    assert_matches_sequential_oracle(V, budgets, eps_values)
 
 
 def det_minus_one_haar_32():
@@ -668,10 +630,12 @@ def recorder(monkeypatch, module, name):
 
 
 def test_greedy_eigensolves_once_and_takes_schur_only_on_repeated_angles(monkeypatch):
-    # one n-by-n eigensolve at entry; after that eigh sees only stacks of
-    # blocks of at most 2-by-2, one stack per round, so the number of calls
-    # does not grow with p. Distinct angles take no Schur factorization, an
-    # angle repeated k times one of size 2k on its own cluster; no SVD is taken
+    # one eigensolve at entry: of the r-by-r compression to range(V - I) when
+    # (n - tr V)/2 and r stay within n/4, else of the n-by-n sym(V); after that
+    # eigh sees only stacks of blocks of at most 2-by-2, one stack per round,
+    # so the number of calls does not grow with p. Distinct angles take no
+    # Schur factorization, an angle repeated k times one of size 2k on its
+    # own cluster; no SVD is taken
     n = 64
     sizes = recorder(monkeypatch, decompose, "symmetric_eigendecomposition")
     schur_shapes = recorder(monkeypatch, decompose, "schur")
@@ -682,20 +646,116 @@ def test_greedy_eigensolves_once_and_takes_schur_only_on_repeated_angles(monkeyp
 
     monkeypatch.setattr(decompose, "_fixed_subspace_dim", no_svd)
     rng = np.random.default_rng(42)
-    products = [(materialize(random_product(np.random.default_rng(42 + p), n, p)), p, []) for p in (6, 48)]
-    for k in (2, 5):
-        products.append((rotations(rng, n, [0.8] * k + [0.3, 1.9, 2.6], 1), 2 * k + 7, [(2 * k, 2 * k)]))
+    # (V, p, entry eigensolve order, schur shapes); p = 48 has (n - tr V)/2
+    # above n/4, and five repeated angles make r = 17, past the n/4 columns
+    products = [
+        (materialize(random_product(np.random.default_rng(42 + p), n, p)), p, r, [])
+        for p, r in ((6, 6), (48, n))
+    ]
+    for k, r in ((2, 11), (5, n)):
+        products.append((rotations(rng, n, [0.8] * k + [0.3, 1.9, 2.6], 1), 2 * k + 7, r, [(2 * k, 2 * k)]))
     calls = []
-    for V, p, schur_expected in products:
+    for V, p, r, schur_expected in products:
         sizes.clear(), schur_shapes.clear(), eigh_shapes.clear()
         _, trace = greedy_decompose(V, eps=1e-6)
         assert trace.m == p
-        assert sizes == [(n, n)]
+        assert sizes == [(r, r)]
         assert schur_shapes == schur_expected
-        assert eigh_shapes[0] == (n, n)
+        assert eigh_shapes[0] == (r, r)
         assert all(max(shape[-2:]) <= 2 for shape in eigh_shapes[1:]), eigh_shapes
         calls.append(len(eigh_shapes))
     assert len(set(calls)) == 1
+
+
+def test_range_basis_spans_the_moving_subspace():
+    # r = rank(V - I) orthonormal columns, C = Q^T V Q, and dropped equal to
+    # the norm of what the compression leaves of V - I, computed densely;
+    # past n/4 columns the basis gives up
+    n = 64
+    rng = np.random.default_rng(49)
+    for p in (1, 8, 16, 17):
+        V = materialize(random_product(rng, n, p))
+        basis = decompose._range_basis(V)
+        if p > n // 4:
+            assert basis is None
+            continue
+        Q, C, dropped = basis
+        assert Q.shape == (n, p)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(p), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(C, Q.T @ V @ Q, rtol=0, atol=1e-14)
+        kept = Q @ (C - np.eye(p)) @ Q.T
+        assert abs(dropped - np.linalg.norm(V - np.eye(n) - kept)) <= 1e-15
+        assert dropped <= 1e-13
+
+
+def disjoint_reflections(rng, n, k):
+    """Product of k reflections along sparse directions with disjoint supports: -1 k times."""
+    supports = np.array_split(rng.permutation(n)[: 4 * k], k)
+    directions = np.zeros((k, n))
+    for row, support in zip(directions, supports):
+        row[support] = rng.standard_normal(support.size)
+    return materialize(HouseholderProduct(n, directions / np.linalg.norm(directions, axis=1, keepdims=True)))
+
+
+def lowrank_instances():
+    """(label, V, eps values) at n = 192 and 256, and at small n, for every route of the router.
+
+    The noisy product is 1e-9 from orthogonal, so it is checked only at eps
+    above that: below it, the rank counts of its noise depend on the Schur
+    basis, and the dense route disagrees with the oracle there as well.
+    """
+    rng = np.random.default_rng(48)
+    loose = (0.05, 1e-6, 1e-10)
+    cases = []
+    for n in (12, 24, 192, 256):
+        cases.append((f"identity-n{n}", np.eye(n), loose))
+        cases.append((f"one-reflection-n{n}", materialize(random_product(rng, n, 1)), loose))
+        for p in sorted({2, n // 16 + 2, n // 4}):
+            cases.append((f"gaussian-n{n}-p{p}", materialize(random_product(rng, n, p)), loose))
+        cases.append((f"tiny-planes-n{n}", rotations(rng, n, [0.9, 2.2, 1e-6, 3e-6, 1e-5]), loose))
+        cases.append((f"repeated-angles-n{n}", rotations(rng, n, [0.7, 0.7, 0.7, 2.4, 2.4], 1), loose))
+        cases.append((f"minus-one-times-3-n{n}", disjoint_reflections(rng, n, 3), loose))
+        noisy = materialize(random_product(rng, n, 3))
+        G = rng.standard_normal((n, n))
+        cases.append((f"product-plus-noise-n{n}", noisy + 1e-9 * G / np.linalg.norm(G), (0.05, 1e-6)))
+        # rank n/4 + 2 at (n - tr V)/2 around 0.01
+        cases.append((f"many-small-planes-n{n}", rotations(rng, n, np.full(n // 8 + 1, 0.05)), loose))
+    return cases
+
+
+LOWRANK_INSTANCES = lowrank_instances()
+
+
+def test_lowrank_router_matches_full_eigh_oracle_on_every_route(monkeypatch):
+    # the router reads (n - tr V)/2, the range basis and rest, not n; every
+    # route must agree with the sequential oracle on one real Schur form of the
+    # full-eigh compression, and the sweep must reach all four routes
+    sizes = recorder(monkeypatch, decompose, "symmetric_eigendecomposition")
+    range_basis, bases = decompose._range_basis, []
+    monkeypatch.setattr(decompose, "_range_basis", lambda M: bases.append(range_basis(M)) or bases[-1])
+    routes = {}
+
+    def routed(V, max_m, eps):
+        sizes.clear(), bases.clear()
+        result = greedy_decompose(V, max_m=max_m, eps=eps)
+        if not bases:
+            route = "trace-routed dense"
+        elif bases[0] is None:
+            route = "cap fallback"
+        elif sizes[-1] == V.shape:
+            route = "rest-guard fallback"
+        else:
+            route = "low-rank"
+            assert sizes == [(bases[0][0].shape[1],) * 2] and sizes[0] < V.shape
+        routes.setdefault(route, set()).add(label)
+        return result
+
+    for label, V, eps_values in LOWRANK_INSTANCES:
+        assert_matches_sequential_oracle(V, (V.shape[0], 3), eps_values, greedy=routed)
+    assert set(routes) == {"low-rank", "trace-routed dense", "cap fallback", "rest-guard fallback"}, routes
+    assert {"gaussian-n256-p64", "minus-one-times-3-n192", "repeated-angles-n256"} <= routes["low-rank"]
+    assert {"product-plus-noise-n256", "many-small-planes-n192"} <= routes["cap fallback"]
+    assert "tiny-planes-n256" in routes["rest-guard fallback"]
 
 
 def test_clustered_sweep_runs_every_block_route(monkeypatch):
@@ -734,8 +794,7 @@ def test_clustered_sweep_runs_every_block_route(monkeypatch):
 
 def test_fixed_dimension_from_symmetric_spectrum_matches_svd():
     # for orthogonal W, the singular values of W - I are sqrt(2(1 - mu)) over
-    # the eigenvalues mu of sym(W), so both rank counts must agree wherever no
-    # singular value lies between the trace's tolerance and min_factors' floor
+    # the eigenvalues mu of sym(W), and both rank counts apply the same floor
     checked = 0
     for dist in DISTRIBUTIONS:
         for n in (16, 48, 96):
@@ -783,14 +842,15 @@ def test_trace_residuals_match_prefixes_on_perturbed_inputs():
 
 @pytest.mark.parametrize("case", TINY_ANGLE_INSTANCES, ids=[c[0] for c in TINY_ANGLE_INSTANCES])
 def test_fixed_dimension_changes_by_exactly_one_per_step(case):
-    # a plane turned by less than the rank tolerance counts as fixed, so its
-    # first step lowers dim_e1 by one and its second raises it back
+    # a plane turned by less than the rank floor counts as fixed, so its
+    # first step lowers dim_e1 by one and its second raises it back. At
+    # eps = 1e-6 such planes, under 1.2e-6 in residual, are not stepped
     _, V, _ = case
-    for eps in (1e-6, 1e-10):
+    for eps, expected in ((1e-6, {1}), (1e-10, {-1, 1})):
         _, trace = greedy_decompose(V, max_m=24, eps=eps)
         dims = [row.dim_e1 for row in trace.rows] + [trace.final_dim_e1]
         steps = np.diff(dims)
-        assert set(steps.tolist()) == {-1, 1}, dims
+        assert set(steps.tolist()) == expected, dims
 
 
 @pytest.mark.parametrize("n,m,seed", [(8, 3, 0), (16, 16, 1), (24, 10, 2)])
@@ -979,7 +1039,7 @@ def test_bound_can_undershoot_the_greedy_at_odd_counts():
     u2 = np.zeros(n)
     u2[0], u2[1] = k, np.sqrt(1.0 - k * k)
     V = materialize(HouseholderProduct(n, [make_reflector(u1).u, make_reflector(u2).u]))
-    _, distance = nearest_reflector(V)
+    distance = greedy_decompose(V, max_m=1, eps=1e-6)[1].final_residual
     np.testing.assert_allclose(distance, 2.0, atol=1e-10)
     assert residual_upper_bound(V, 1) < distance - 0.1
 

@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from hhfactor import GeneratorSpec, decompose, greedy_decompose, synthesize
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -31,6 +35,22 @@ def test_every_probed_name_resolves_in_the_package():
     assert len(names) >= 10
     missing = [f"{module}.{name}" for module, name in names if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("dist, n, m", [("gaussian", 192, 8), ("gaussian", 64, 64)])
+def test_decompose_eigensolves_once_through_the_probed_names(monkeypatch, dist, n, m):
+    # the benchmark's core.eigh and core.symmetric_part layers time
+    # decompose.symmetric_eigendecomposition and decompose.symmetric_part; a
+    # low-rank input (r-by-r) and a full-rank one (n-by-n) must each call both
+    # exactly once, so neither layer silently reads 0
+    V, _ = synthesize(GeneratorSpec(dist, n=n, m=m, seed=5))
+    calls = []
+    for name in ("symmetric_eigendecomposition", "symmetric_part"):
+        original = getattr(decompose, name)
+        monkeypatch.setattr(decompose, name, lambda A, original=original, name=name: calls.append(name) or original(A))
+    _, trace = greedy_decompose(V, eps=1e-6)
+    assert trace.m == m
+    assert sorted(calls) == ["symmetric_eigendecomposition", "symmetric_part"]
 
 
 def test_perfbench_self_test_passes():
