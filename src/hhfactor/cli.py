@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Commands: synth, decompose, bound, apply, recover, bench. Exit codes:
-0 success (unique recovery, converged decomposition), 1 invalid input,
-2 factor cap reached, 3 ambiguous recovery, 4 no recovery solution.
+Commands: synth, decompose, sweep, bound, apply, recover, bench. Exit codes:
+0 success (unique recovery, converged decomposition), 1 invalid input or
+usage, 2 factor cap reached, 3 ambiguous recovery, 4 no recovery solution.
 All output is deterministic for a fixed seed.
 """
 
@@ -32,7 +32,7 @@ EXIT_CAP = 2
 EXIT_AMBIGUOUS = 3
 EXIT_NO_SOLUTION = 4
 
-SWEEP_M_LIST = (1, 5, 10, 25, 50, 100, 200, 400)  # defaults of the sweep flag
+SWEEP_M_LIST = (1, 5, 10, 25, 50, 100, 200, 400)  # default of sweep --m-list
 SWEEP_EPS = 0.05
 
 
@@ -62,12 +62,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _decompose_one(matrix, max_m, eps, trace_path, out_path):
-    product, trace = greedy_decompose(matrix, max_m=max_m, eps=eps)
-    if trace_path:
-        fileio.save_trace_csv(trace_path, trace)
-    if out_path:
-        fileio.save_product(out_path, product)
+def cmd_decompose(args) -> int:
+    matrix = fileio.load_matrix(args.input)
+    product, trace = greedy_decompose(matrix, max_m=args.max_m, eps=args.eps)
+    if args.trace:
+        fileio.save_trace_csv(args.trace, trace)
+    if args.out:
+        fileio.save_product(args.out, product)
     print(
         f"m={trace.m} residual={trace.final_residual:.6g} "
         f"termination={trace.termination}"
@@ -75,7 +76,7 @@ def _decompose_one(matrix, max_m, eps, trace_path, out_path):
     return EXIT_OK if trace.termination == "converged" else EXIT_CAP
 
 
-def _run_sweep(args) -> int:
+def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     m_list = _parse_int_list(args.m_list) if args.m_list else SWEEP_M_LIST
@@ -104,20 +105,6 @@ def _run_sweep(args) -> int:
             if trace.termination != "converged":
                 worst = EXIT_CAP
     return worst
-
-
-def cmd_decompose(args) -> int:
-    if args.sweep:
-        if not args.outdir:
-            print("error: --sweep requires --outdir", file=sys.stderr)
-            return EXIT_INVALID
-        args.dist = args.sweep
-        return _run_sweep(args)
-    if not args.input:
-        print("error: an input matrix file is required without --sweep", file=sys.stderr)
-        return EXIT_INVALID
-    matrix = fileio.load_matrix(args.input)
-    return _decompose_one(matrix, args.max_m, args.eps, args.trace, args.out)
 
 
 def cmd_bound(args) -> int:
@@ -172,10 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hhfactor",
         description="Factor orthogonal matrices into few Householder reflections "
         "and recover reflection dictionaries from binary-coded data.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)  # no prefix matching
 
-    p = sub.add_parser("synth", help="generate a seeded orthogonal instance")
+    p = add("synth", help="generate a seeded orthogonal instance")
     p.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -184,44 +173,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", help="also write the generating reflectors")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("decompose", help="greedy factorization of a matrix file")
-    p.add_argument("input", nargs="?", help="matrix file (omit with --sweep)")
+    p = add("decompose", help="greedy factorization of a matrix file")
+    p.add_argument("input", help="matrix file")
     p.add_argument("--m", dest="max_m", type=int, default=None, help="factor cap")
     p.add_argument("--eps", type=float, default=SWEEP_EPS)
     p.add_argument("--trace", help="write the per-iteration CSV here")
     p.add_argument("--out", help="write the factored form here")
-    p.add_argument(
-        "--sweep",
-        choices=DISTRIBUTIONS,
-        help="generate and decompose one instance per m in --m-list",
-    )
-    p.add_argument("--outdir", help="directory for sweep outputs")
-    p.add_argument("--n", type=int, default=500, help="sweep dimension")
+    p.set_defaults(func=cmd_decompose)
+
+    p = add("sweep", help="generate and decompose one instance per m in --m-list")
+    p.add_argument("dist", choices=DISTRIBUTIONS)
+    p.add_argument("--outdir", required=True, help="directory for the per-cell trace CSVs")
+    p.add_argument("--n", type=int, default=500)
     p.add_argument(
         "--m-list",
         default="",
-        help=f"sweep factor counts (default {','.join(map(str, SWEEP_M_LIST))})",
+        help=f"factor counts (default {','.join(map(str, SWEEP_M_LIST))})",
     )
+    p.add_argument("--eps", type=float, default=SWEEP_EPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bound", help="print the residual bound over a range of m")
+    p = add("bound", help="print the residual bound over a range of m")
     p.add_argument("input", help="matrix file")
     p.add_argument("--m-range", default="", help='inclusive "lo:hi" (default 0:n)')
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("apply", help="apply a factored file to vectors")
+    p = add("apply", help="apply a factored file to vectors")
     p.add_argument("factors", help="factored file")
     p.add_argument("input", help="matrix file of column vectors")
     p.add_argument("--out", help="write result here instead of stdout")
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("recover", help="recover reflection and binary codes from data")
+    p = add("recover", help="recover reflection and binary codes from data")
     p.add_argument("input", help="matrix file with the data columns")
     p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("bench", help="factored apply vs dense multiply timings")
+    p = add("bench", help="factored apply vs dense multiply timings")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--m-list", default="8,16,32")
     p.add_argument("--repeats", type=int, default=300)
@@ -237,7 +226,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage, or help on exit 0
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

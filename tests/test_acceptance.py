@@ -192,7 +192,7 @@ def test_criterion_4_error_bound(tmp_path):
     # 500-dimensional sweep cell at the loose tolerance via the CLI
     outdir = tmp_path / "sweep"
     code = cli.main(
-        ["decompose", "--sweep", "gaussian", "--outdir", str(outdir),
+        ["sweep", "gaussian", "--outdir", str(outdir),
          "--n", "500", "--m-list", "25", "--eps", "0.05", "--seed", "7"]
     )
     rows = fileio.load_trace_csv(outdir / "gaussian_n500_m25.csv")

@@ -170,7 +170,7 @@ def test_decompose_missing_file_is_invalid(capsys):
 def test_sweep_writes_trace_per_cell(tmp_path, capsys):
     outdir = tmp_path / "sweep"
     code = main(
-        ["decompose", "--sweep", "gaussian", "--outdir", str(outdir),
+        ["sweep", "gaussian", "--outdir", str(outdir),
          "--n", "24", "--m-list", "2,4", "--eps", "0.05", "--seed", "1", "--jobs", "2"]
     )
     assert code == 0
@@ -196,7 +196,7 @@ def test_sweep_writes_trace_per_cell(tmp_path, capsys):
 )
 def test_sweep_rejects_bad_m_lists(tmp_path, capsys, extra, message):
     outdir = tmp_path / "sweep"
-    args = ["decompose", "--sweep", "gaussian", "--outdir", str(outdir), "--jobs", "2"]
+    args = ["sweep", "gaussian", "--outdir", str(outdir), "--jobs", "2"]
     code = main(args + extra)
     assert code == 1
     captured = capsys.readouterr()
@@ -205,19 +205,19 @@ def test_sweep_rejects_bad_m_lists(tmp_path, capsys, extra, message):
 
 
 def test_sweep_requires_outdir(capsys):
-    assert main(["decompose", "--sweep", "gaussian"]) == 1
+    assert main(["sweep", "gaussian"]) == 1
     assert "outdir" in capsys.readouterr().err
 
 
-def test_decompose_requires_an_input_without_sweep(capsys):
+def test_decompose_requires_an_input(capsys):
     assert main(["decompose"]) == 1
     captured = capsys.readouterr()
-    assert "input matrix file is required" in captured.err and captured.out == ""
+    assert "the following arguments are required: input" in captured.err and captured.out == ""
 
 
 def test_sweep_exits_at_the_cap_when_eps_is_out_of_reach(tmp_path, capsys):
     outdir = tmp_path / "sweep"
-    code = main(["decompose", "--sweep", "gaussian", "--outdir", str(outdir),
+    code = main(["sweep", "gaussian", "--outdir", str(outdir),
                  "--n", "8", "--m-list", "2,3", "--eps", "1e-300"])
     assert code == 2
     lines = capsys.readouterr().out.splitlines()
@@ -510,8 +510,7 @@ def test_recover_above_the_enumeration_cap(tmp_path, capsys, n):
 def test_recover_has_no_max_n_flag(tmp_path, capsys):
     data_path = tmp_path / "y.mat"
     fileio.save_matrix(data_path, np.ones((4, 2)) * 0.5)
-    with pytest.raises(SystemExit):
-        main(["recover", str(data_path), "--max-n", "26"])
+    assert main(["recover", str(data_path), "--max-n", "26"]) == 1
     assert "unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
@@ -520,17 +519,76 @@ def test_recover_has_no_max_n_flag(tmp_path, capsys):
     [
         (["synth", "--dist", "sparse", "--n", "8", "--m", "2", "--out", "{tmp}/v.mat",
           "--sparse-fraction", "0.1"], "--sparse-fraction"),
-        (["decompose", "--sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8",
+        (["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8",
           "--m-list", "2", "--save-factors"], "--save-factors"),
         (["bench", "--n", "64", "--m-list", "4,8", "--seed", "1"], "--seed"),
+        (["decompose", "--sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8",
+          "--m-list", "2"], "--sweep"),
     ],
-    ids=["synth-sparse-fraction", "sweep-save-factors", "bench-seed"],
+    ids=["synth-sparse-fraction", "sweep-save-factors", "bench-seed", "decompose-sweep"],
 )
 def test_removed_flags_are_unrecognized(tmp_path, capsys, argv, flag):
-    with pytest.raises(SystemExit):
-        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # refused before anything was written
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # decompose takes none of sweep's flags
+        ["decompose", "{tmp}/v.mat", "--outdir", "{tmp}/sweep"],
+        ["decompose", "{tmp}/v.mat", "--n", "8"],
+        ["decompose", "{tmp}/v.mat", "--m-list", "2"],
+        ["decompose", "{tmp}/v.mat", "--seed", "3"],
+        ["decompose", "{tmp}/v.mat", "--jobs", "4"],
+        # sweep takes none of decompose's, nor an input file; --out and --m are
+        # not read as prefixes of --outdir and --m-list either
+        ["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8", "--m-list", "2",
+         "--out", "{tmp}/f.hprod"],
+        ["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8", "--m-list", "2",
+         "--trace", "{tmp}/t.csv"],
+        ["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8", "--m", "1"],
+        ["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8", "--m-list", "2",
+         "{tmp}/v.mat"],
+        # no flag is matched by a prefix
+        ["decompose", "{tmp}/v.mat", "--tr", "{tmp}/t.csv", "--e", "1e-9"],
+        ["bound", "{tmp}/v.mat", "--m", "0:2"],
+        ["bench", "--n", "64", "--m", "4,8", "--repeats", "5"],
+        ["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8", "--m", "3"],
+    ],
+    ids=[
+        "decompose-outdir", "decompose-n", "decompose-m-list", "decompose-seed",
+        "decompose-jobs", "sweep-out", "sweep-trace", "sweep-m", "sweep-input",
+        "abbrev-trace-eps", "abbrev-bound-m-range", "abbrev-bench-m-list",
+        "abbrev-sweep-m-list",
+    ],
+)
+def test_flags_of_another_command_or_abbreviated_are_unrecognized(tmp_path, capsys, argv):
+    write_worked_matrix(tmp_path / "v.mat")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["v.mat"]  # nothing written
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose", "{tmp}/v.mat", "--eps", "abc"], ["synth", "--m", "2", "--out", "{tmp}/x.mat"]],
+    ids=["bad-eps", "synth-without-n"],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    write_worked_matrix(tmp_path / "v.mat")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert "usage: hhfactor" in captured.err and captured.out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["v.mat"]
+
+
+@pytest.mark.parametrize("command", ["decompose", "sweep"])
+def test_help_exits_0(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert f"usage: hhfactor {command}" in capsys.readouterr().out
 
 
 def test_bench_command_runs_on_small_sizes(capsys):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -53,11 +54,16 @@ def test_decompose_eigensolves_once_through_the_probed_names(monkeypatch, dist, 
     assert sorted(calls) == ["symmetric_eigendecomposition", "symmetric_part"]
 
 
-def test_perfbench_self_test_passes():
-    # the self-test drives every workload through the package's product API
+def test_perfbench_self_test_passes(tmp_path):
+    # the self-test drives every workload through the package's product API.
+    # It writes under its checkout's .perfbench_out, so it runs from a copy:
+    # overlapping test runs then never share (and delete) each other's files
+    shutil.copytree(PERFBENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(PERFBENCH.parent / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(PERFBENCH.parent / "src", target_is_directory=True)
     result = subprocess.run(
         [sys.executable, "-B", "perfbench/selftest.py"],
-        cwd=PERFBENCH.parent,
+        cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=600,
