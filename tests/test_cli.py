@@ -36,12 +36,33 @@ def test_synth_writes_deterministic_files(tmp_path):
     assert first.read_text() == second.read_text()
 
 
+def checkout_env(**variables):
+    """The environment with this checkout's src first on PYTHONPATH, plus variables."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **variables)
+
+
+def test_synth_output_does_not_depend_on_blas_threads(tmp_path):
+    # materialize runs on level-3 BLAS, which may split work across threads
+    written = []
+    for threads in ("1", "2"):
+        out, factors = tmp_path / f"t{threads}.mat", tmp_path / f"t{threads}.hprod"
+        done = subprocess.run(
+            [sys.executable, "-m", "hhfactor", "synth", "--dist", "gaussian", "--n", "512",
+             "--m", "256", "--seed", "3", "--out", str(out), "--factors", str(factors)],
+            env=checkout_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        written.append((out.read_bytes(), factors.read_bytes()))
+    assert written[0] == written[1]
+
+
 def test_package_runs_as_a_module(tmp_path):
     # python -m hhfactor and python -m hhfactor.cli work from a checkout,
     # without installing the package
-    src = Path(__file__).resolve().parents[1] / "src"
-    paths = [str(src), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = checkout_env()
     for module in ("hhfactor", "hhfactor.cli"):
         out = tmp_path / f"{module}.mat"
         done = subprocess.run(

@@ -183,6 +183,20 @@ def test_block_apply_keeps_zero_columns_and_rejects_bad_shapes():
             apply(p, bad)
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["vector", "block"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [(1j, "real, got complex"), (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite")],
+)
+def test_apply_rejects_complex_and_non_finite_input(shape, bad, message):
+    # with u = e1 a NaN in x[0] used to spread to every entry of the result
+    p = HouseholderProduct(2, [[1.0, 0.0]])
+    x = np.ones(shape, dtype=complex if bad == 1j else float)
+    x[0] = bad
+    with pytest.raises(ValueError, match=message):
+        apply(p, x)
+
+
 # -------------------------------------------------------------- materialize
 
 

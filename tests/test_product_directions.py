@@ -1,7 +1,10 @@
-"""Every producer's direction array against the per-factor Reflector path.
+"""Every producer's direction array against the per-factor Reflector path, and
+block apply and materialize against one rank-1 update per factor.
 
 Products used to be built one Reflector at a time; the arrays built in one
-step must hold exactly the rows those Reflectors held, bit for bit.
+step must hold exactly the rows those Reflectors held, bit for bit. Products
+used to act one rank-1 update at a time; the blocked UT transform that
+replaced that loop must agree with it within roundoff, 1e-13 per factor.
 """
 
 import numpy as np
@@ -10,9 +13,12 @@ import pytest
 from hhfactor import (
     DISTRIBUTIONS,
     GeneratorSpec,
+    HouseholderProduct,
     Reflector,
+    apply,
     greedy_decompose,
     make_reflector,
+    materialize,
     qr_baseline,
     symmetric_decompose,
     symmetric_eigendecomposition,
@@ -36,12 +42,24 @@ def assert_rows_are_reflectors(directions, expected_rows):
         np.testing.assert_array_equal(row, expected)
 
 
-def per_factor_matrix(factors, n):
-    """materialize over a tuple of Reflectors, as it was written for them."""
+def per_factor_apply(directions, X):
+    """H_1 ... H_m X as one rank-1 update per factor, the last direction first."""
+    Y = np.array(X, dtype=float)
+    for u in directions[::-1]:
+        Y -= 2.0 * np.outer(u, u @ Y)
+    return Y
+
+
+def per_factor_matrix(directions, n):
+    """H_1 ... H_m as one rank-1 update per factor, the first direction first."""
     M = np.eye(n)
-    for f in factors:
-        M -= 2.0 * np.outer(M @ f.u, f.u)
+    for u in directions:
+        M -= 2.0 * np.outer(M @ u, u)
     return M
+
+
+def roundoff_tol(m):
+    return 1e-13 * max(m, 1)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -49,7 +67,74 @@ def test_synthesize_matches_per_factor_construction(spec):
     V, product = synthesize(spec)
     factors = [make_reflector(d) for d in reflector_directions(spec)]
     assert_rows_are_reflectors(product.directions, [f.u for f in factors])
-    np.testing.assert_array_equal(V, per_factor_matrix(factors, spec.n))
+    expected = per_factor_matrix([f.u for f in factors], spec.n)
+    assert np.abs(V - expected).max() <= roundoff_tol(spec.m)
+
+
+ORACLE_N = 140
+ORACLE_MS = (0, 1, 63, 64, 65, 128, 130)  # both sides of one and two blocks of 64
+
+
+def oracle_directions(kind, m, rng):
+    """m unit rows of ORACLE_N entries: generic, or a set that stresses the UT transform."""
+    def unit(rows):
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    u = unit(rng.standard_normal((1, ORACLE_N)))
+    if kind == "random":
+        return unit(rng.standard_normal((m, ORACLE_N)))
+    if kind == "repeated":
+        return np.repeat(u, m, axis=0)
+    if kind == "alternating":  # u, -u, u, ...; the product keeps one canonical sign
+        return np.repeat(u, m, axis=0) * np.where(np.arange(m) % 2, -1.0, 1.0)[:, None]
+    if kind == "close":  # rows about 1e-8 apart
+        return unit(u + 1e-8 * unit(rng.standard_normal((m, ORACLE_N))))
+    assert kind == "orthonormal"
+    return np.linalg.qr(rng.standard_normal((ORACLE_N, m)))[0].T
+
+
+ORACLE_KINDS = ("random", "repeated", "alternating", "close", "orthonormal")
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("m", ORACLE_MS)
+@pytest.mark.parametrize("k", [1, 3, 96])
+def test_block_apply_matches_rank_one_oracle(kind, m, k):
+    rng = np.random.default_rng([ORACLE_KINDS.index(kind), m, k])
+    product = HouseholderProduct(ORACLE_N, oracle_directions(kind, m, rng))
+    X = rng.standard_normal((ORACLE_N, k)) * np.logspace(-3, 3, k)  # columns of many norms
+    X_before = X.copy()
+    Y = apply(product, X)
+    expected = per_factor_apply(product.directions, X)
+    column_tol = roundoff_tol(m) * np.maximum(1.0, np.linalg.norm(X, axis=0))
+    assert Y.shape == X.shape
+    assert (np.abs(Y - expected).max(axis=0) <= column_tol).all()
+    np.testing.assert_array_equal(X, X_before)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("m", ORACLE_MS)
+def test_materialize_matches_rank_one_oracle(kind, m):
+    rng = np.random.default_rng([ORACLE_KINDS.index(kind), m])
+    product = HouseholderProduct(ORACLE_N, oracle_directions(kind, m, rng))
+    M = materialize(product)
+    assert M.flags.c_contiguous
+    assert np.abs(M - per_factor_matrix(product.directions, ORACLE_N)).max() <= roundoff_tol(m)
+
+
+def test_materialize_single_factor_is_exact():
+    u = make_reflector(np.random.default_rng(7).standard_normal(ORACLE_N)).u
+    np.testing.assert_array_equal(
+        materialize(HouseholderProduct(ORACLE_N, [u])), np.eye(ORACLE_N) - 2.0 * np.outer(u, u)
+    )
+
+
+def test_block_apply_and_materialize_at_dimension_zero():
+    empty = HouseholderProduct(0)
+    assert apply(empty, np.empty((0, 3))).shape == (0, 3)  # n = 0
+    assert apply(empty, np.empty(0)).shape == (0,)
+    M = materialize(empty)
+    assert M.shape == (0, 0) and M.flags.c_contiguous
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
