@@ -28,7 +28,6 @@ from .decompose import (
     min_factors,
     qr_baseline,
     residual_upper_bound,
-    symmetric_decompose,
 )
 from .dictlearn import (
     AmbiguousRecoveryError,
@@ -64,7 +63,6 @@ __all__ = [
     "min_factors",
     "qr_baseline",
     "residual_upper_bound",
-    "symmetric_decompose",
     "AmbiguousRecoveryError",
     "CandidateSet",
     "InstanceTooLargeError",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import fileio
@@ -77,33 +76,28 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    # the m list, every cell's spec and eps are checked before outdir exists
     m_list = _parse_int_list(args.m_list) if args.m_list else SWEEP_M_LIST
-    check_m_list(m_list)  # before outdir exists or any cell writes its file
+    check_m_list(m_list)
     m_list = tuple(m for m in m_list if m <= args.n)
     if not m_list:
         raise ValueError(f"no sweep m is at most n={args.n}")
+    specs = [GeneratorSpec(args.dist, n=args.n, m=m, seed=args.seed + index) for index, m in enumerate(m_list)]
+    if not args.eps > 0.0:  # NaN fails too
+        raise ValueError("eps must be positive")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    def run_cell(cell_index_m):
-        index, m = cell_index_m
-        spec = GeneratorSpec(args.dist, n=args.n, m=m, seed=args.seed + index)
+    worst = EXIT_OK
+    for spec in specs:
         matrix, _ = synthesize(spec)
         _, trace = greedy_decompose(matrix, max_m=args.n, eps=args.eps)
-        fileio.save_trace_csv(outdir / f"{args.dist}_n{args.n}_m{m}.csv", trace)
-        return m, trace
-
-    worst = EXIT_OK
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for m, trace in pool.map(run_cell, enumerate(m_list)):
-            print(
-                f"{args.dist} n={args.n} m={m}: used {trace.m} factors, "
-                f"residual={trace.final_residual:.6g}, termination={trace.termination}"
-            )
-            if trace.termination != "converged":
-                worst = EXIT_CAP
+        fileio.save_trace_csv(outdir / f"{args.dist}_n{args.n}_m{spec.m}.csv", trace)
+        print(
+            f"{args.dist} n={args.n} m={spec.m}: used {trace.m} factors, "
+            f"residual={trace.final_residual:.6g}, termination={trace.termination}"
+        )
+        if trace.termination != "converged":
+            worst = EXIT_CAP
     return worst
 
 
@@ -192,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eps", type=float, default=SWEEP_EPS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
     p.set_defaults(func=cmd_sweep)
 
     p = add("bound", help="print the residual bound over a range of m")

@@ -24,6 +24,14 @@ SYM_RTOL = 1e-10        # per-n slack on ||A - A^T||_F
 BLOCK = 64              # directions per UT transform; 32 and 64 run alike, 16 is slower
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float ndarray; complex x raises ValueError instead of losing its imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real, got complex entries")
+    return np.asarray(x, dtype=float)
+
+
 def _canonical_rows(U: np.ndarray) -> np.ndarray:
     """Flip each row of U so that its first entry above SIGN_EPS in magnitude is positive.
 
@@ -61,7 +69,7 @@ class Reflector:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        u = _real_array(self.u, "reflector direction")
         if u.ndim != 1:
             raise ValueError("reflector direction must be a vector")
         object.__setattr__(self, "u", _unit_rows(u[None])[0])
@@ -69,7 +77,7 @@ class Reflector:
 
 def make_reflector(direction) -> Reflector:
     """Normalize a nonzero direction into a canonical unit Reflector."""
-    v = np.asarray(direction, dtype=float)
+    v = _real_array(direction, "reflector direction")
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError("degenerate reflector: zero direction")
@@ -94,7 +102,7 @@ class HouseholderProduct:
     directions: np.ndarray = ()
 
     def __post_init__(self):
-        U = np.asarray(self.directions, dtype=float)
+        U = _real_array(self.directions, "reflector directions")
         if U.ndim == 1 and U.size == 0:
             U = U.reshape(0, max(self.n, 0))
         if self.n < 0 or U.ndim != 2 or U.shape[1] != self.n:
@@ -139,10 +147,7 @@ def apply(product: HouseholderProduct, x) -> np.ndarray:
     a Fortran-ordered copy. x is never modified. Complex or non-finite input
     raises ValueError before any work.
     """
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise ValueError("apply input must be real, got complex entries")
-    y = np.array(x, dtype=float, order="F")
+    y = np.array(_real_array(x, "apply input"), order="F")
     if y.ndim not in (1, 2) or y.shape[0] != product.n:
         raise ValueError(
             f"dimension mismatch: input of shape {y.shape}, product of dimension {product.n}"
@@ -170,8 +175,8 @@ def materialize(product: HouseholderProduct) -> np.ndarray:
 
 
 def check_orthogonal(V) -> np.ndarray:
-    """Return V as a square ndarray, raising unless ||V^T V - I||_F <= ORTHO_RTOL * n."""
-    M = np.asarray(V, dtype=float)
+    """Return V as a real square ndarray, raising unless ||V^T V - I||_F <= ORTHO_RTOL * n."""
+    M = _real_array(V, "matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
@@ -187,7 +192,7 @@ def check_orthogonal(V) -> np.ndarray:
 
 def symmetric_part(V) -> np.ndarray:
     """Elementwise (V + V^T)/2."""
-    M = np.asarray(V, dtype=float)
+    M = _real_array(V, "matrix")
     return (M + M.T) / 2.0
 
 
@@ -206,7 +211,7 @@ def symmetric_eigendecomposition(A) -> SymmetricSpectrum:
     input; within a degenerate eigenspace the returned basis is whatever the
     solver produces.
     """
-    M = np.asarray(A, dtype=float)
+    M = _real_array(A, "matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]

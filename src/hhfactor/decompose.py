@@ -21,15 +21,15 @@ Van Loan, Matrix Computations, 7.4), and C is block diagonal by cluster of
 the sorted eigenvalues, cut where neighbours differ by more than the
 roundoff floor. A rotation by an angle of its own is a cluster of two, and
 its 2-by-2 block of C is a greedy block as it stands; so is each 1-by-1
-block of a cluster at -1, where V is -I. A repeated angle, or the cluster
-at +1 when nothing is dropped, gives a larger cluster, which takes a real
-Schur factorization of its own: its form is block diagonal up to roundoff,
-with 1-by-1 (+-1) and 2-by-2 rotation blocks that end where LAPACK leaves
-the subdiagonal exactly zero, and it separates planes by |e^{ia} - e^{ib}|.
-The norm of C off the blocks must stay within the roundoff floor; else, as
-when close angles fall in different clusters whose eigenvectors mix, one
-Schur factorization of all of C gives the blocks. The symmetric part is
-block diagonal too, so every greedy step reduces to one block: its bottom
+block of a cluster at -1, where V is -I. A larger cluster (a repeated
+angle, or the cluster at +1 when nothing is dropped) has no such blocks,
+and neither has C when its norm off the blocks exceeds the roundoff floor,
+as when close angles fall in different clusters whose eigenvectors mix.
+Then one real Schur factorization of all of C gives the blocks: its form
+is block diagonal up to roundoff, with 1-by-1 (+-1) and 2-by-2 rotation
+blocks that end where LAPACK leaves the subdiagonal exactly zero, and it
+separates planes by |e^{ia} - e^{ib}|. The symmetric part is block
+diagonal too, so every greedy step reduces to one block: its bottom
 eigenvector is the reflector, and reflecting that block's rows keeps the
 block structure. The greedy keeps only the blocks, as 2-by-2 squares (a
 1-by-1 block t padded to diag(t, 1)). A reflection of a block's rows keeps
@@ -64,7 +64,6 @@ from .core import (
     symmetric_part,
 )
 
-SYM_INPUT_RTOL = 1e-8  # per-n symmetry slack accepted by symmetric_decompose
 QR_SKIP_RTOL = 1e-12   # per-sqrt(n) slack for "column already reduced"
 RADICAND_NOISE = 64.0  # times n*eps: radicands below this are numerical zero
 GS_BLOCK = 8           # columns per Gram-Schmidt pass: p <= 8 takes one pass of rank-8 updates
@@ -184,10 +183,10 @@ def _spectral_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, n: int, eps: fl
     all of them if r = n (else None). C = Q^T M Q is block diagonal by
     cluster of mu, cut where sorted neighbours differ by more than the
     floor. A cluster of one value, or within the floor of -1, where M is -I,
-    gives 1-by-1 blocks; a cluster of two is C's own rotation block; a larger
-    one takes a real Schur factorization, whose blocks end where LAPACK
-    leaves the subdiagonal exactly zero. If the norm of C off the blocks
-    exceeds the floor, all of C takes one Schur factorization instead.
+    gives 1-by-1 blocks, and a cluster of two is C's own rotation block. If
+    a cluster is larger, or the norm of C off those blocks exceeds the
+    floor, one real Schur factorization of all of C gives the blocks, which
+    end where LAPACK leaves the subdiagonal exactly zero.
     Returns (lift, squares, columns, pairs, rest): lift maps block
     coordinates to r dimensions; squares stacks the blocks, a 1-by-1 block t
     padded to diag(t, 1), which adds nothing to its residual or rank and
@@ -208,30 +207,36 @@ def _spectral_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, n: int, eps: fl
         p, rest, Q = r, 0.0, spectrum.eigenvectors
         C = Q.T @ M @ Q
     cuts = np.flatnonzero(np.diff(mu[:p]) > floor) + 1
-    for retry in (False, True):
-        lift, W, joined = Q.copy(), C.copy(), np.zeros(p, dtype=bool)  # row i is in row i-1's block
-        for start, stop in [(0, p)] if retry else zip(np.append(0, cuts), np.append(cuts, p)):
-            if not retry and (stop - start < 2 or mu[stop - 1] + 1.0 <= floor):
-                continue
-            if not retry and stop - start == 2:
-                joined[start + 1] = True
-                continue
-            # a cluster's basis turns; the entries between clusters keep their norm
-            T, Z = schur(C[start:stop, start:stop], output="real")
-            W[start:stop, start:stop] = T
-            lift[:, start:stop] = lift[:, start:stop] @ Z
-            joined[start + 1 : stop] = np.diag(T, -1) != 0.0
-        first = np.flatnonzero(~joined)
-        pairs = np.append(joined[1:], False)[first]
-        columns = first[:, None] + np.outer(pairs, [0, 1])
-        squares = W[columns[:, :, None], columns[:, None, :]]
-        W[columns[:, :, None], columns[:, None, :]] = 0.0
-        outside = float(np.linalg.norm(W, "fro"))
-        if outside <= floor:
-            break
+    joined = np.zeros(p, dtype=bool)  # row i is in row i-1's block
+    larger = False  # a cluster of more than two values, away from -1
+    for start, stop in zip(np.append(0, cuts), np.append(cuts, p)):
+        if stop - start >= 2 and mu[stop - 1] + 1.0 > floor:
+            joined[start + 1] = True
+            larger |= stop - start > 2
+    if not larger:
+        squares, columns, pairs, outside = _cut_blocks(C, joined)
+    if larger or outside > floor:
+        T, Z = schur(C, output="real")
+        Q = Q @ Z
+        squares, columns, pairs, outside = _cut_blocks(T, np.append(False, np.diag(T, -1) != 0.0))
     squares[~pairs, 0, 1] = 0.0
     squares[~pairs, 1] = [0.0, 1.0]
-    return lift, squares, columns, pairs, math.hypot(rest, outside)
+    return Q, squares, columns, pairs, math.hypot(rest, outside)
+
+
+def _cut_blocks(W: np.ndarray, joined: np.ndarray):
+    """(squares, columns, pairs, outside) of the diagonal blocks of W, which is left as it is.
+
+    joined[i] puts row i in row i-1's block. outside is the norm of W off
+    the blocks, summed in row order whatever the layout of W.
+    """
+    first = np.flatnonzero(~joined)
+    pairs = np.append(joined[1:], False)[first]
+    columns = first[:, None] + np.outer(pairs, [0, 1])
+    squares = W[columns[:, :, None], columns[:, None, :]]
+    off = np.array(W, order="C")
+    off[columns[:, :, None], columns[:, None, :]] = 0.0
+    return squares, columns, pairs, float(np.linalg.norm(off, "fro"))
 
 
 def greedy_decompose(
@@ -254,19 +259,19 @@ def greedy_decompose(
     between the roundoff those factors leave and exact-recovery scale
     (1e-6), the run converges with exactly p factors, and p is minimal;
     min_factors provides the independent count. Below that roundoff a
-    roundoff rotation block in the Schur form of the +1 cluster can add two
-    factors (3 of 216 runs on exact products at eps 1e-14 and 1e-16).
+    roundoff rotation block from the +1 cluster in the Schur form of C can
+    add two factors (5 of 216 runs on exact products at eps 1e-14 and 1e-16).
 
     One eigensolve, of the r-by-r compression to a Gram-Schmidt basis of
     range(V - I) or else of the n-by-n sym(V) (see _greedy_blocks), yields the
     moving subspace Q, the compression C = Q^T V Q and the clusters of its
     eigenvalues. _spectral_blocks reads the blocks off the clusters: a cluster
-    of two is C's own rotation block, a cluster at -1 is 1-by-1 blocks, and
-    only a larger cluster (a repeated angle, or the one at +1 when nothing is
-    dropped) takes a Schur factorization, with Z its Schur vectors. Should the
-    norm of C off the blocks exceed the roundoff floor, one Schur
-    factorization of all of C gives the blocks instead. The greedy runs on a
-    (K, 2, 2) stack of squares with each 1-by-1 block t padded to diag(t, 1).
+    of two is C's own rotation block and a cluster at -1 is 1-by-1 blocks.
+    A larger cluster (a repeated angle, or the one at +1 when nothing is
+    dropped), or a norm of C off the blocks above the roundoff floor, sends
+    all of C to one Schur factorization, with Z its Schur vectors, which
+    gives the blocks instead. The greedy runs on a (K, 2, 2) stack of
+    squares with each 1-by-1 block t padded to diag(t, 1).
     A step on a block reflects its square by its bottom eigenvector a and
     lifts a to the n-dimensional factor (QZ)[:, block] a. A step touches only
     its block, so the steps are taken in three rounds: round r reflects every
@@ -354,21 +359,6 @@ def greedy_decompose(
         termination=termination,
     )
     return HouseholderProduct(n, embedded @ lift.T), trace
-
-
-def symmetric_decompose(V) -> HouseholderProduct:
-    """Factor a symmetric orthogonal matrix into mutually orthogonal reflections.
-
-    Such a matrix has eigenvalues +-1; the factors are its eigenvectors with
-    eigenvalue -1, in ascending eigen-index order (they commute, so any fixed
-    order works). The factor count is exactly that eigenvalue's multiplicity.
-    """
-    M = check_orthogonal(V)
-    n = M.shape[0]
-    if np.linalg.norm(M - M.T, "fro") > SYM_INPUT_RTOL * n:
-        raise ValueError("input is not symmetric")
-    spectrum = symmetric_eigendecomposition(symmetric_part(M))
-    return HouseholderProduct(n, spectrum.eigenvectors[:, spectrum.eigenvalues < 0.0].T)
 
 
 def qr_baseline(V) -> tuple[HouseholderProduct, np.ndarray]:

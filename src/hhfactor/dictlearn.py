@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Reflector, _canonical_rows, make_reflector
+from .core import Reflector, _canonical_rows, _real_array, make_reflector
 
 NORM_MATCH_ATOL = 1e-6   # |popcount - ||y||^2| above this rules a guess out
 SOLUTION_ATOL = 1e-9     # re-substitution residual allowed for a candidate
@@ -68,11 +68,11 @@ def solve_column(y, x) -> Reflector | _SubspaceMarker | None:
     Returns the canonical Reflector when the unique-up-to-sign solution
     exists, SUBSPACE_MARKER when x equals y (the column is fixed and only
     constrains u to be orthogonal to it), and None when no unit-norm solution
-    exists. Candidates are re-substituted before being accepted; NaN or inf
-    in either vector raises ValueError.
+    exists. Candidates are re-substituted before being accepted; complex
+    entries, NaN or inf in either vector raise ValueError.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
+    y = _real_array(y, "column")
+    x = _real_array(x, "guess")
     if x.shape != y.shape:
         raise ValueError("dimension mismatch between column and guess")
     if not (np.isfinite(y).all() and np.isfinite(x).all()):
@@ -148,7 +148,7 @@ def enumerate_candidates(y) -> CandidateSet:
     4 * MATCH_ATOL * ||y|| + 2 * SOLUTION_ATOL of each other, far below the
     distance 1 between distinct binary vectors.
     """
-    y = np.asarray(y, dtype=float)
+    y = _real_array(y, "column")
     if not np.isfinite(y).all():
         raise ValueError("column has non-finite entries")
     n = y.shape[0]
@@ -334,13 +334,13 @@ def recover(Y) -> RecoveryResult:
     exists.
 
     Raises:
-        ValueError: fewer than two data columns, or non-finite entries.
+        ValueError: fewer than two data columns, or complex or non-finite entries.
         NoCommonCandidateError: no reflection is consistent with the chosen
             columns, or decoding does not yield binary codes.
         AmbiguousRecoveryError: several reflections remain (e.g. all columns
             identical) or too few informative columns exist to decide.
     """
-    Y = np.asarray(Y, dtype=float)
+    Y = _real_array(Y, "data")
     if Y.ndim != 2:
         raise ValueError("Y must be a matrix")
     p = Y.shape[1]

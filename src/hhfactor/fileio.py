@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HouseholderProduct
+from .core import HouseholderProduct, _real_array
 from .decompose import DecompositionTrace, TraceRow
 
 FLOAT_FMT = "%.17g"
@@ -43,7 +43,7 @@ def _format_rows(header: str, M: np.ndarray) -> str:
 
 
 def format_matrix(M: np.ndarray) -> str:
-    M = np.asarray(M, dtype=float)
+    M = _real_array(M, "matrix")
     if M.ndim != 2:
         raise ValueError("expected a matrix")
     return _format_rows(f"{M.shape[0]} {M.shape[1]}", M)

@@ -192,7 +192,7 @@ def test_sweep_writes_trace_per_cell(tmp_path, capsys):
     outdir = tmp_path / "sweep"
     code = main(
         ["sweep", "gaussian", "--outdir", str(outdir),
-         "--n", "24", "--m-list", "2,4", "--eps", "0.05", "--seed", "1", "--jobs", "2"]
+         "--n", "24", "--m-list", "2,4", "--eps", "0.05", "--seed", "1"]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -211,13 +211,18 @@ def test_sweep_writes_trace_per_cell(tmp_path, capsys):
         (["--n", "0"], "at most n=0"),
         (["--n", "12", "--m-list", "2,-1"], "at least 1"),
         (["--n", "12", "--m-list", "0"], "at least 1"),
-        (["--n", "12", "--jobs", "0"], "--jobs must be at least 1"),
+        (["--n", "12", "--m-list", "2", "--eps", "0"], "eps must be positive"),
+        (["--n", "12", "--m-list", "2", "--eps", "nan"], "eps must be positive"),
+        (["--n", "12", "--m-list", "2", "--seed", "-1"], "seed must be a 64-bit unsigned integer"),
     ],
-    ids=["repeated-m", "no-m-within-n", "negative-m-after-a-valid-one", "zero-m", "zero-jobs"],
+    ids=[
+        "repeated-m", "no-m-within-n", "negative-m-after-a-valid-one", "zero-m",
+        "zero-eps", "nan-eps", "negative-seed",
+    ],
 )
 def test_sweep_rejects_bad_m_lists(tmp_path, capsys, extra, message):
     outdir = tmp_path / "sweep"
-    args = ["sweep", "gaussian", "--outdir", str(outdir), "--jobs", "2"]
+    args = ["sweep", "gaussian", "--outdir", str(outdir)]
     code = main(args + extra)
     assert code == 1
     captured = capsys.readouterr()
@@ -545,8 +550,10 @@ def test_recover_has_no_max_n_flag(tmp_path, capsys):
         (["bench", "--n", "64", "--m-list", "4,8", "--seed", "1"], "--seed"),
         (["decompose", "--sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8",
           "--m-list", "2"], "--sweep"),
+        (["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8", "--m-list", "2",
+          "--jobs", "2"], "--jobs"),
     ],
-    ids=["synth-sparse-fraction", "sweep-save-factors", "bench-seed", "decompose-sweep"],
+    ids=["synth-sparse-fraction", "sweep-save-factors", "bench-seed", "decompose-sweep", "sweep-jobs"],
 )
 def test_removed_flags_are_unrecognized(tmp_path, capsys, argv, flag):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1

@@ -10,13 +10,19 @@ from hhfactor import (
     apply,
     check_orthogonal,
     enumerate_candidates,
+    greedy_decompose,
     make_reflector,
     materialize,
+    min_factors,
+    qr_baseline,
     recover,
+    residual_upper_bound,
     same_reflector,
+    solve_column,
     symmetric_eigendecomposition,
     symmetric_part,
 )
+from hhfactor import fileio
 from hhfactor.core import SIGN_EPS
 
 
@@ -195,6 +201,39 @@ def test_apply_rejects_complex_and_non_finite_input(shape, bad, message):
     x[0] = bad
     with pytest.raises(ValueError, match=message):
         apply(p, x)
+
+
+U_WORKED = np.array([2 / 3, 1 / 3, 2 / 3])
+H_WORKED = np.eye(3) - 2.0 * np.outer(U_WORKED, U_WORKED)
+X_WORKED = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+# (entry point, its real argument): the call must accept the argument and
+# refuse it once it is complex, never keep only its real part
+REAL_ENTRY_POINTS = {
+    "check_orthogonal": (check_orthogonal, H_WORKED),
+    "greedy_decompose": (greedy_decompose, H_WORKED),
+    "min_factors": (min_factors, H_WORKED),
+    "residual_upper_bound": (lambda V: residual_upper_bound(V, 1), H_WORKED),
+    "qr_baseline": (qr_baseline, H_WORKED),
+    "symmetric_part": (symmetric_part, H_WORKED),
+    "symmetric_eigendecomposition": (symmetric_eigendecomposition, H_WORKED),
+    "Reflector": (Reflector, U_WORKED),
+    "make_reflector": (make_reflector, U_WORKED),
+    "HouseholderProduct": (lambda U: HouseholderProduct(3, U), U_WORKED[None]),
+    "solve_column-column": (lambda y: solve_column(y, X_WORKED[:, 0]), H_WORKED @ X_WORKED[:, 0]),
+    "solve_column-guess": (lambda x: solve_column(H_WORKED @ X_WORKED[:, 0], x), X_WORKED[:, 0]),
+    "enumerate_candidates": (enumerate_candidates, H_WORKED @ X_WORKED[:, 0]),
+    "recover": (recover, H_WORKED @ X_WORKED),
+    "format_matrix": (fileio.format_matrix, H_WORKED),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS.values(), ids=REAL_ENTRY_POINTS.keys())
+def test_complex_input_is_refused_not_cast_to_its_real_part(entry):
+    call, real = entry
+    call(real)
+    with pytest.raises(ValueError, match="must be real, got complex entries"):
+        call(real + 0j)
 
 
 # -------------------------------------------------------------- materialize

@@ -16,7 +16,6 @@ from hhfactor import (
     qr_baseline,
     residual_upper_bound,
     same_reflector,
-    symmetric_decompose,
     symmetric_eigendecomposition,
     symmetric_part,
     synthesize,
@@ -634,8 +633,8 @@ def test_greedy_eigensolves_once_and_takes_schur_only_on_repeated_angles(monkeyp
     # (n - tr V)/2 and r stay within n/4, else of the n-by-n sym(V); after that
     # eigh sees only stacks of blocks of at most 2-by-2, one stack per round,
     # so the number of calls does not grow with p. Distinct angles take no
-    # Schur factorization, an angle repeated k times one of size 2k on its
-    # own cluster; no SVD is taken
+    # Schur factorization, and an angle repeated k times one of all p columns
+    # of the compression; no SVD is taken
     n = 64
     sizes = recorder(monkeypatch, decompose, "symmetric_eigendecomposition")
     schur_shapes = recorder(monkeypatch, decompose, "schur")
@@ -653,7 +652,8 @@ def test_greedy_eigensolves_once_and_takes_schur_only_on_repeated_angles(monkeyp
         for p, r in ((6, 6), (48, n))
     ]
     for k, r in ((2, 11), (5, n)):
-        products.append((rotations(rng, n, [0.8] * k + [0.3, 1.9, 2.6], 1), 2 * k + 7, r, [(2 * k, 2 * k)]))
+        p = 2 * k + 7
+        products.append((rotations(rng, n, [0.8] * k + [0.3, 1.9, 2.6], 1), p, r, [(p, p)]))
     calls = []
     for V, p, r, schur_expected in products:
         sizes.clear(), schur_shapes.clear(), eigh_shapes.clear()
@@ -759,11 +759,10 @@ def test_lowrank_router_matches_full_eigh_oracle_on_every_route(monkeypatch):
 
 
 def test_clustered_sweep_runs_every_block_route(monkeypatch):
-    # distinct angles and repeated -1s take no Schur factorization, a
-    # repeated angle takes one on its own cluster, and a pair of close angles
-    # split into two clusters couples them beyond the roundoff floor, so all
-    # of the compression takes one. Every instance has two or more distinct
-    # angles, so only that retry factors all p columns at once
+    # distinct angles and repeated -1s take no Schur factorization; a
+    # repeated angle, or a pair of close angles split into two clusters that
+    # couples them beyond the roundoff floor, sends all of the compression to
+    # one, and greedy factors nothing smaller
     schur_shapes = recorder(monkeypatch, decompose, "schur")
     blocks_of = decompose._greedy_blocks
     widths = []
@@ -779,17 +778,11 @@ def test_clustered_sweep_runs_every_block_route(monkeypatch):
         for eps in (1e-6, 1e-10):
             schur_shapes.clear(), widths.clear()
             greedy_decompose(V, max_m=max_m, eps=eps)
-            if not schur_shapes:
-                route = "none"
-            elif schur_shapes[-1] == (widths[0], widths[0]):
-                route = "all of the compression"
-            else:
-                route = "own cluster"
-            routes.setdefault(route, []).append(label)
-    assert set(routes) == {"none", "own cluster", "all of the compression"}, routes
+            assert schur_shapes in ([], [(widths[0], widths[0])]), (label, eps, schur_shapes)
+            routes.setdefault("all of the compression" if schur_shapes else "none", []).append(label)
+    assert set(routes) == {"none", "all of the compression"}, routes
     assert "minus-one-times-6" in routes["none"]
-    assert "repeated-angles" in routes["own cluster"]
-    assert "pairs-1e-05-apart" in routes["all of the compression"]
+    assert {"repeated-angles", "pairs-1e-05-apart"} <= set(routes["all of the compression"])
 
 
 def test_fixed_dimension_from_symmetric_spectrum_matches_svd():
@@ -881,52 +874,6 @@ def test_untouched_eigenvectors_are_preserved():
         for w in fixed.T:
             assert np.linalg.norm(V_next @ w - V @ w) <= 1e-8
         V = V_next
-
-
-# ------------------------------------------------------- symmetric_decompose
-
-
-def test_symmetric_decompose_single_coordinate_reflection():
-    V = np.eye(5)
-    V[0, 0] = -1.0
-    product = symmetric_decompose(V)
-    assert product.m == 1
-    np.testing.assert_allclose(product.factors[0].u, np.eye(5)[0], atol=1e-12)
-
-
-def test_symmetric_decompose_negated_identity():
-    product = symmetric_decompose(-np.eye(4))
-    assert product.m == 4
-    basis = np.column_stack([f.u for f in product.factors])
-    np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(materialize(product), -np.eye(4), atol=1e-12)
-
-
-def test_symmetric_decompose_random_multiplicity():
-    rng = np.random.default_rng(19)
-    n, negatives = 10, 3
-    Q = haar_orthogonal(rng, n)
-    V = (Q * np.concatenate([-np.ones(negatives), np.ones(n - negatives)])) @ Q.T
-    product = symmetric_decompose(V)
-    assert product.m == negatives
-    assert np.linalg.norm(materialize(product) - V, "fro") <= 1e-8 * n
-
-
-def test_symmetric_decompose_rejects_nonsymmetric():
-    rng = np.random.default_rng(20)
-    V = materialize(random_product(rng, 6, 3))
-    with pytest.raises(ValueError, match="not symmetric"):
-        symmetric_decompose(V)
-
-
-def test_symmetric_decompose_agrees_with_greedy_count():
-    rng = np.random.default_rng(21)
-    n, negatives = 12, 5
-    Q = haar_orthogonal(rng, n)
-    V = (Q * np.concatenate([-np.ones(negatives), np.ones(n - negatives)])) @ Q.T
-    assert symmetric_decompose(V).m == negatives
-    _, trace = greedy_decompose(V, eps=1e-6)
-    assert trace.m == negatives
 
 
 # --------------------------------------------------------------- qr_baseline

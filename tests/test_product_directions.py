@@ -1,5 +1,6 @@
 """Every producer's direction array against the per-factor Reflector path, and
 block apply and materialize against one rank-1 update per factor.
+Greedy's rows on a symmetric input against its -1 eigenspace.
 
 Products used to be built one Reflector at a time; the arrays built in one
 step must hold exactly the rows those Reflectors held, bit for bit. Products
@@ -20,7 +21,6 @@ from hhfactor import (
     make_reflector,
     materialize,
     qr_baseline,
-    symmetric_decompose,
     symmetric_eigendecomposition,
     symmetric_part,
     synthesize,
@@ -145,13 +145,24 @@ def test_greedy_and_qr_rows_are_canonical_reflectors(spec, eps):
         assert_rows_are_reflectors(product.directions, [Reflector(u).u for u in product.directions])
 
 
-@pytest.mark.parametrize("spec", [s for s in SPECS if s.distribution == "symmetric"], ids=str)
-def test_symmetric_decompose_matches_per_eigenvector_reflectors(spec):
-    V, _ = synthesize(spec)
+SYMMETRIC_INPUTS = {str(spec): synthesize(spec)[0] for spec in SPECS if spec.distribution == "symmetric"}
+SYMMETRIC_INPUTS["negated-identity-n9"] = -np.eye(9)
+
+
+@pytest.mark.parametrize("V", SYMMETRIC_INPUTS.values(), ids=SYMMETRIC_INPUTS.keys())
+@pytest.mark.parametrize("eps", [1e-6, 1e-10])
+def test_greedy_on_symmetric_input_gives_an_orthonormal_basis_of_the_minus_one_eigenspace(V, eps):
+    # a symmetric orthogonal V is I - 2P, P the projector onto its -1
+    # eigenspace, so greedy's rows must be an orthonormal basis of that space,
+    # one per eigenvalue -1: the per-eigenvector reflectors up to a rotation
     spectrum = symmetric_eigendecomposition(symmetric_part(V))
-    negative = np.flatnonzero(spectrum.eigenvalues < 0.0)
-    expected = [Reflector(spectrum.eigenvectors[:, i]).u for i in negative]
-    assert_rows_are_reflectors(symmetric_decompose(V).directions, expected)
+    negative = spectrum.eigenvectors[:, spectrum.eigenvalues < 0.0]
+    product, trace = greedy_decompose(V, eps=eps)
+    U = product.directions
+    assert trace.termination == "converged"
+    assert U.shape[0] == negative.shape[1]
+    np.testing.assert_allclose(U @ U.T, np.eye(U.shape[0]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(U.T @ U, negative @ negative.T, rtol=0, atol=1e-12)
 
 
 def test_load_product_matches_per_row_reflectors(tmp_path):
