@@ -133,11 +133,10 @@ def cmd_recover(args) -> int:
     except NoCommonCandidateError as exc:
         print(f"no solution: {exc}")
         return EXIT_NO_SOLUTION
-    print("u: " + " ".join(fileio.FLOAT_FMT % value for value in result.u.u))
-    print("X:")
-    for row in result.X:
-        print(" ".join(str(int(value)) for value in row))
-    print(f"residual: {result.residual:.6g}")
+    lines = ["u: " + " ".join(fileio.FLOAT_FMT % value for value in result.u.u.tolist()), "X:"]
+    lines += (" ".join(map(str, row)) for row in result.X.tolist())  # X holds ints
+    lines.append(f"residual: {result.residual:.6g}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

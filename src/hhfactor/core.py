@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot, dgemm, dtrsm
 
 SIGN_EPS = 1e-12        # entries at or below this do not anchor the canonical sign
 UNIT_NORM_RTOL = 1e-12  # per-sqrt(n) slack on ||u|| = 1
@@ -23,11 +22,20 @@ ORTHO_RTOL = 1e-8       # per-n slack on ||V^T V - I||_F
 SYM_RTOL = 1e-10        # per-n slack on ||A - A^T||_F
 BLOCK = 64              # directions per UT transform; 32 and 64 run alike, 16 is slower
 
+# scipy.linalg.blas kernels, bound by _load_blas on first use: importing
+# scipy.linalg takes about 0.3 s and 27 MB, which recover and bound never need
+daxpy = ddot = dgemm = dtrsm = None
+
+
+def _load_blas() -> None:
+    global daxpy, ddot, dgemm, dtrsm
+    from scipy.linalg.blas import daxpy, ddot, dgemm, dtrsm
+
 
 def _real_array(x, what: str) -> np.ndarray:
     """x as a float ndarray; complex x raises ValueError instead of losing its imaginary part."""
     x = np.asarray(x)
-    if np.iscomplexobj(x):
+    if x.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got complex entries")
     return np.asarray(x, dtype=float)
 
@@ -130,6 +138,8 @@ def _apply_block(U: np.ndarray, y: np.ndarray) -> np.ndarray:
     block costs one dgemm for W = B y, one dtrsm for W <- T W, and one dgemm
     that subtracts B^T W from y in place. Returns y.
     """
+    if dgemm is None:
+        _load_blas()
     for stop in range(U.shape[0], 0, -BLOCK):
         Bt = U[max(stop - BLOCK, 0):stop].T  # n-by-b, Fortran-ordered for a C-ordered U
         T_inv = np.triu(Bt.T @ Bt, 1)
@@ -152,7 +162,11 @@ def apply(product: HouseholderProduct, x) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: input of shape {y.shape}, product of dimension {product.n}"
         )
-    if not np.isfinite(y).all():
+    if ddot is None:
+        _load_blas()
+    flat = y.ravel(order="A")  # a view: y is contiguous
+    # one pass: the sum of squares is finite when every entry is, unless it overflows
+    if flat.size and not (math.isfinite(ddot(flat, flat)) or np.isfinite(flat).all()):
         raise ValueError("apply input must be finite, got NaN or infinite entries")
     if y.ndim == 1:
         for u in product.directions[::-1]:

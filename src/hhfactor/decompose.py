@@ -54,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, schur
 
 from .core import (
     HouseholderProduct,
@@ -68,6 +67,23 @@ QR_SKIP_RTOL = 1e-12   # per-sqrt(n) slack for "column already reduced"
 RADICAND_NOISE = 64.0  # times n*eps: radicands below this are numerical zero
 GS_BLOCK = 8           # columns per Gram-Schmidt pass: p <= 8 takes one pass of rank-8 updates
 RANGE_SHARE = 4        # past n/4 columns the range basis costs about the n-by-n eigh it saves
+
+
+# scipy.linalg (about 0.3 s and 27 MB to import) loads on the first call of
+# either wrapper, so greedy on an input that takes neither the low-rank route
+# nor the Schur fallback never loads it, and neither do recover and bound
+def qr(*args, **kwargs):
+    """scipy.linalg.qr, which only the low-rank route (_range_basis) calls."""
+    from scipy.linalg import qr
+
+    return qr(*args, **kwargs)
+
+
+def schur(*args, **kwargs):
+    """scipy.linalg.schur, which only the Schur fallback of _spectral_blocks calls."""
+    from scipy.linalg import schur
+
+    return schur(*args, **kwargs)
 
 
 @dataclass(frozen=True)

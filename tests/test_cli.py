@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +73,59 @@ def test_package_runs_as_a_module(tmp_path):
         assert done.returncode == 0, done.stderr
         assert f"wrote {out}" in done.stdout
         assert fileio.load_matrix(out).shape == (6, 6)
+
+
+# runs each command of the JSON list argv[1] in turn and prints, as JSON,
+# whether scipy.linalg was loaded after the import and after each command
+SCIPY_LINALG_PROBE = """
+import contextlib, io, json, sys
+from hhfactor import cli
+loaded = ["scipy.linalg" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded.append([cli.main(argv), "scipy.linalg" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def scipy_linalg_loaded(*commands):
+    """[loaded after import, [exit code, loaded] per command], all in one fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_LINALG_PROBE, json.dumps(commands)],
+        env=checkout_env(), capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_recover_bound_and_dense_decompose_leave_scipy_linalg_unloaded(tmp_path):
+    # its import costs about 0.3 s and 27 MB that these commands never use
+    data_path = tmp_path / "y.mat"
+    fileio.save_matrix(data_path, (np.eye(3) - 2.0 * np.outer(U_TRUE, U_TRUE)) @ np.eye(3)[:, :2])
+    negated_path, gaussian_path = tmp_path / "neg.mat", tmp_path / "g.mat"
+    fileio.save_matrix(negated_path, -np.eye(64))
+    fileio.save_matrix(gaussian_path, synthesize(GeneratorSpec("gaussian", n=64, m=64, seed=1))[0])
+    commands = (
+        ["recover", str(data_path)],
+        ["bound", str(gaussian_path)],
+        ["decompose", str(negated_path), "--out", str(tmp_path / "neg.hprod")],
+        ["decompose", str(gaussian_path), "--eps", "1e-6"],
+    )
+    assert scipy_linalg_loaded(*commands) == [False] + [[0, False]] * len(commands)
+
+
+@pytest.mark.parametrize("command", ["apply", "synth", "decompose-lowrank"])
+def test_commands_that_need_scipy_linalg_load_it(tmp_path, command):
+    matrix, product = synthesize(GeneratorSpec("gaussian", n=64, m=4, seed=2))
+    matrix_path, factors_path = tmp_path / "v.mat", tmp_path / "v.hprod"
+    fileio.save_matrix(matrix_path, matrix)
+    fileio.save_product(factors_path, product)
+    argv = {
+        "apply": ["apply", str(factors_path), str(matrix_path)],  # a block: level-3 BLAS
+        "synth": ["synth", "--n", "8", "--m", "2", "--out", str(tmp_path / "s.mat")],
+        "decompose-lowrank": ["decompose", str(matrix_path), "--eps", "1e-6"],  # qr of the range basis
+    }[command]
+    assert scipy_linalg_loaded(argv) == [False, [0, True]]
 
 
 def test_synth_factors_match_matrix(tmp_path):

@@ -203,6 +203,23 @@ def test_apply_rejects_complex_and_non_finite_input(shape, bad, message):
         apply(p, x)
 
 
+@pytest.mark.parametrize("shape", [(67,), (33, 5)], ids=["vector", "block"])
+def test_apply_finiteness_check_sees_every_entry_and_survives_overflow(shape):
+    # the check is one ddot of x with itself: a bad entry anywhere makes it NaN
+    # or inf, and a finite x whose sum of squares overflows is still applied
+    rng = np.random.default_rng(5)
+    p = random_product(rng, shape[0], 3)
+    x = rng.standard_normal(shape)
+    for index in np.ndindex(shape):
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y[index] = bad
+            with pytest.raises(ValueError, match="finite"):
+                apply(p, y)
+    scale = 2.0**1000  # a power of two: scaling commutes with every rounding
+    np.testing.assert_array_equal(apply(p, x * scale), apply(p, x) * scale)
+
+
 U_WORKED = np.array([2 / 3, 1 / 3, 2 / 3])
 H_WORKED = np.eye(3) - 2.0 * np.outer(U_WORKED, U_WORKED)
 X_WORKED = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
