@@ -2,8 +2,10 @@
 
 Commands: synth, decompose, sweep, bound, apply, recover, bench. Exit codes:
 0 success (unique recovery, converged decomposition), 1 invalid input or
-usage, 2 factor cap reached, 3 ambiguous recovery, 4 no recovery solution.
-All output is deterministic for a fixed seed.
+usage, or a bench whose t(max m)/t(min m) leaves its linear window, 2
+factor cap reached, 3 ambiguous recovery, 4 no recovery solution. At a
+fixed BLAS thread count all output is deterministic for a fixed seed;
+across thread counts generated matrices can differ in trailing digits.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ def cmd_decompose(args) -> int:
 def cmd_sweep(args) -> int:
     # the m list, every cell's spec and eps are checked before outdir exists
     m_list = _parse_int_list(args.m_list) if args.m_list else SWEEP_M_LIST
+    if not m_list:
+        raise ValueError(f"--m-list {args.m_list!r} holds no m")
     check_m_list(m_list)
     m_list = tuple(m for m in m_list if m <= args.n)
     if not m_list:

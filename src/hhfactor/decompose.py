@@ -17,24 +17,27 @@ a basis of its range in O(n^2 p), and the eigensolve is of the r-by-r
 compression to it. Past n/4 columns, or when that route would drop more
 than eps/2, the n-by-n eigensolve of sym(V) runs instead. An orthogonal
 matrix is normal, so each eigenspace of sym(V) is V-invariant (Golub &
-Van Loan, Matrix Computations, 7.4), and C is block diagonal by cluster of
-the sorted eigenvalues, cut where neighbours differ by more than the
-roundoff floor. A rotation by an angle of its own is a cluster of two, and
-its 2-by-2 block of C is a greedy block as it stands; so is each 1-by-1
-block of a cluster at -1, where V is -I. A larger cluster (a repeated
-angle, or the cluster at +1 when nothing is dropped) has no such blocks,
-and neither has C when its norm off the blocks exceeds the roundoff floor,
-as when close angles fall in different clusters whose eigenvectors mix.
-Then one real Schur factorization of all of C gives the blocks: its form
-is block diagonal up to roundoff, with 1-by-1 (+-1) and 2-by-2 rotation
-blocks that end where LAPACK leaves the subdiagonal exactly zero, and it
-separates planes by |e^{ia} - e^{ib}|. The symmetric part is block
-diagonal too, so every greedy step reduces to one block: its bottom
-eigenvector is the reflector, and reflecting that block's rows keeps the
-block structure. The greedy keeps only the blocks, as 2-by-2 squares (a
-1-by-1 block t padded to diag(t, 1)). A reflection of a block's rows keeps
-the norm of their entries outside the block, so the norm off the blocks is
-a constant part of the residual. For orthogonal W,
+Van Loan, Matrix Computations, 7.4), and C is block diagonal by eigenvalue
+of sym(V). One rule reads the blocks of C and of its Schur form alike: row
+i joins row i-1's block when the subdiagonal entry between them exceeds
+the roundoff floor. A rotation by an angle of its own is a 2-by-2 block of
+C with subdiagonal +-sin(angle), and each -1, where V is -I, a 1-by-1
+block. The rule checks itself: a repeated angle, whose planes lie in an
+arbitrary basis of one eigenspace, or close angles, whose eigenvectors
+mix, leave norm between blocks, or a row in a chain of more than two that
+no block covers, and so norm off the blocks above the floor. That norm, or
+a 1-by-1 block at +1 (a fixed direction, which C keeps only when
+compression was refused, in an arbitrary basis), sends all of C to one
+real Schur factorization. Its form is block diagonal up to roundoff, with
+1-by-1 (+-1) and 2-by-2 rotation blocks, and it separates planes by
+|e^{ia} - e^{ib}|; a 2-by-2 block whose subdiagonal lies within the floor,
+a roundoff pair at +1, reads as two 1-by-1 blocks that no step takes. The
+symmetric part is block diagonal too, so every greedy step reduces to one
+block: its bottom eigenvector is the reflector, and reflecting that
+block's rows keeps the block structure. The greedy keeps only the blocks,
+as 2-by-2 squares (a 1-by-1 block t padded to diag(t, 1)). A reflection of
+a block's rows keeps the norm of their entries outside the block, so the
+norm off the blocks is a constant part of the residual. For orthogonal W,
 (W - I)^T (W - I) = 2(I - sym W), so the singular values of W - I are
 sqrt(2(1 - mu)) over the eigenvalues mu of sym W: the blocks' eigenvalues
 give the fixed-subspace dimension as well.
@@ -57,7 +60,6 @@ import numpy as np
 
 from .core import (
     HouseholderProduct,
-    SymmetricSpectrum,
     check_orthogonal,
     symmetric_eigendecomposition,
     symmetric_part,
@@ -185,24 +187,22 @@ def _greedy_blocks(M: np.ndarray, eps: float):
     basis = _range_basis(M) if n - np.trace(M) <= 2.0 * n / RANGE_SHARE else None
     if basis is not None:
         Q, C, dropped = basis
-        blocks = _spectral_blocks(C, symmetric_eigendecomposition(symmetric_part(C)), n, eps, dropped)
+        blocks = _spectral_blocks(C, n, eps, dropped)
         if blocks is not None:
             return (Q @ blocks[0],) + blocks[1:]
-    return _spectral_blocks(M, symmetric_eigendecomposition(symmetric_part(M)), n, eps)
+    return _spectral_blocks(M, n, eps)
 
 
-def _spectral_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, n: int, eps: float, dropped: float = 0.0):
-    """Greedy's blocks of an r-by-r M, r <= n, read off the clusters of the spectrum of sym(M).
+def _spectral_blocks(M: np.ndarray, n: int, eps: float, dropped: float = 0.0):
+    """Greedy's blocks of an r-by-r M, r <= n, read off its compression C or the Schur form of C.
 
-    Q holds the eigenvectors whose 1 - mu lies above the roundoff floor of
-    the input's order n, or, when that with dropped loses more than eps/2,
-    all of them if r = n (else None). C = Q^T M Q is block diagonal by
-    cluster of mu, cut where sorted neighbours differ by more than the
-    floor. A cluster of one value, or within the floor of -1, where M is -I,
-    gives 1-by-1 blocks, and a cluster of two is C's own rotation block. If
-    a cluster is larger, or the norm of C off those blocks exceeds the
-    floor, one real Schur factorization of all of C gives the blocks, which
-    end where LAPACK leaves the subdiagonal exactly zero.
+    Q holds the eigenvectors of sym(M) whose 1 - mu lies above the roundoff
+    floor of the input's order n, or, when that with dropped loses more than
+    eps/2, all of them if r = n (else None). _cut_blocks reads the blocks of
+    C = Q^T M Q. When the norm of C off its blocks exceeds the floor, or C
+    has a 1-by-1 block at +1, which only a refused compression keeps (the
+    fixed subspace, in an arbitrary basis), one real Schur factorization of
+    all of C gives the blocks instead, read by the same rule.
     Returns (lift, squares, columns, pairs, rest): lift maps block
     coordinates to r dimensions; squares stacks the blocks, a 1-by-1 block t
     padded to diag(t, 1), which adds nothing to its residual or rank and
@@ -212,8 +212,8 @@ def _spectral_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, n: int, eps: fl
     """
     r = M.shape[0]
     floor = RADICAND_NOISE * n * np.finfo(float).eps
-    mu = spectrum.eigenvalues
-    p = int(_moving_rank(mu, n))
+    spectrum = symmetric_eigendecomposition(symmetric_part(M))
+    p = int(_moving_rank(spectrum.eigenvalues, n))
     Q = spectrum.eigenvectors[:, :p]
     C = Q.T @ M @ Q
     rest = math.hypot(dropped, np.linalg.norm((M - np.eye(r)) - Q @ (C - np.eye(p)) @ Q.T, "fro")) if p < r else dropped
@@ -222,30 +222,25 @@ def _spectral_blocks(M: np.ndarray, spectrum: SymmetricSpectrum, n: int, eps: fl
             return None
         p, rest, Q = r, 0.0, spectrum.eigenvectors
         C = Q.T @ M @ Q
-    cuts = np.flatnonzero(np.diff(mu[:p]) > floor) + 1
-    joined = np.zeros(p, dtype=bool)  # row i is in row i-1's block
-    larger = False  # a cluster of more than two values, away from -1
-    for start, stop in zip(np.append(0, cuts), np.append(cuts, p)):
-        if stop - start >= 2 and mu[stop - 1] + 1.0 > floor:
-            joined[start + 1] = True
-            larger |= stop - start > 2
-    if not larger:
-        squares, columns, pairs, outside = _cut_blocks(C, joined)
-    if larger or outside > floor:
+    squares, columns, pairs, outside = _cut_blocks(C, floor)
+    if outside > floor or np.any(squares[~pairs, 0, 0] > 0.0):
         T, Z = schur(C, output="real")
         Q = Q @ Z
-        squares, columns, pairs, outside = _cut_blocks(T, np.append(False, np.diag(T, -1) != 0.0))
+        squares, columns, pairs, outside = _cut_blocks(T, floor)
     squares[~pairs, 0, 1] = 0.0
     squares[~pairs, 1] = [0.0, 1.0]
     return Q, squares, columns, pairs, math.hypot(rest, outside)
 
 
-def _cut_blocks(W: np.ndarray, joined: np.ndarray):
+def _cut_blocks(W: np.ndarray, floor: float):
     """(squares, columns, pairs, outside) of the diagonal blocks of W, which is left as it is.
 
-    joined[i] puts row i in row i-1's block. outside is the norm of W off
-    the blocks, summed in row order whatever the layout of W.
+    Row i joins row i-1's block when |W[i, i-1]| exceeds floor. A row that
+    no block covers, after two joins in a row, keeps its whole norm in
+    outside, the norm of W off the blocks, summed in row order whatever the
+    layout of W.
     """
+    joined = np.append(False, np.abs(np.diag(W, -1)) > floor)[: W.shape[0]]
     first = np.flatnonzero(~joined)
     pairs = np.append(joined[1:], False)[first]
     columns = first[:, None] + np.outer(pairs, [0, 1])
@@ -274,20 +269,22 @@ def greedy_decompose(
     When V is exactly a product of p <= max_m reflections and eps lies
     between the roundoff those factors leave and exact-recovery scale
     (1e-6), the run converges with exactly p factors, and p is minimal;
-    min_factors provides the independent count. Below that roundoff a
-    roundoff rotation block from the +1 cluster in the Schur form of C can
-    add two factors (5 of 216 runs on exact products at eps 1e-14 and 1e-16).
+    min_factors provides the independent count. Below that roundoff no step
+    is taken for a block within the roundoff floor of +1: on 3,600 seeded
+    exact products at eps down to 1e-16 every run took exactly p factors,
+    though some end at the cap ("n_cap") with their residual at roundoff.
 
     One eigensolve, of the r-by-r compression to a Gram-Schmidt basis of
     range(V - I) or else of the n-by-n sym(V) (see _greedy_blocks), yields the
-    moving subspace Q, the compression C = Q^T V Q and the clusters of its
-    eigenvalues. _spectral_blocks reads the blocks off the clusters: a cluster
-    of two is C's own rotation block and a cluster at -1 is 1-by-1 blocks.
-    A larger cluster (a repeated angle, or the one at +1 when nothing is
-    dropped), or a norm of C off the blocks above the roundoff floor, sends
-    all of C to one Schur factorization, with Z its Schur vectors, which
-    gives the blocks instead. The greedy runs on a (K, 2, 2) stack of
-    squares with each 1-by-1 block t padded to diag(t, 1).
+    moving subspace Q and the compression C = Q^T V Q, block diagonal by
+    eigenvalue of sym(V). _spectral_blocks reads the blocks by one rule: a
+    row joins the block of the row above when the subdiagonal entry between
+    them exceeds the roundoff floor. When the norm of C off those blocks
+    exceeds the floor (a repeated angle, or close angles whose planes mix),
+    or C holds a 1-by-1 block at +1, which only a refused compression keeps,
+    one Schur factorization of all of C, with Z its Schur vectors, gives the
+    blocks instead, read by the same rule. The greedy runs on a (K, 2, 2)
+    stack of squares with each 1-by-1 block t padded to diag(t, 1).
     A step on a block reflects its square by its bottom eigenvector a and
     lifts a to the n-dimensional factor (QZ)[:, block] a. A step touches only
     its block, so the steps are taken in three rounds: round r reflects every

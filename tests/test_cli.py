@@ -268,10 +268,11 @@ def test_sweep_writes_trace_per_cell(tmp_path, capsys):
         (["--n", "12", "--m-list", "2", "--eps", "0"], "eps must be positive"),
         (["--n", "12", "--m-list", "2", "--eps", "nan"], "eps must be positive"),
         (["--n", "12", "--m-list", "2", "--seed", "-1"], "seed must be a 64-bit unsigned integer"),
+        (["--m-list", ","], "--m-list ',' holds no m"),
     ],
     ids=[
         "repeated-m", "no-m-within-n", "negative-m-after-a-valid-one", "zero-m",
-        "zero-eps", "nan-eps", "negative-seed",
+        "zero-eps", "nan-eps", "negative-seed", "no-m-at-all",
     ],
 )
 def test_sweep_rejects_bad_m_lists(tmp_path, capsys, extra, message):

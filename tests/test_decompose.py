@@ -262,9 +262,9 @@ def clustered_instances():
     for n, m, fraction in ((24, 24, 0.02), (32, 20, 0.1), (48, 48, 0.05), (64, 64, 0.02)):
         spec = GeneratorSpec("sparse", n=n, m=m, seed=100 + n, sparse_fraction=fraction)
         cases.append((f"sparse-n{n}-m{m}-f{fraction}", synthesize(spec)[0], n))
-    # pairs whose cosines differ by more than the roundoff floor fall in
-    # different clusters, though sym(V)'s eigenvectors mix their planes;
-    # only 1e-12 apart near pi do the cosines stay within it, in one cluster
+    # pairs of angles 1e-12 to 1e-5 apart: sym(V)'s eigenvectors mix their
+    # planes, so the compression keeps norm off its blocks above the roundoff
+    # floor, or chains rows that no block covers
     for gap in (1e-12, 1e-9, 1e-7, 1e-5):
         cases.append((f"pairs-{gap:g}-apart", rotations(rng, 24, [0.7, 0.7 + gap, 3.1, 3.1 + gap, 1.9], 1), 24))
     for negatives in (3, 6):
@@ -356,7 +356,7 @@ def schur_blocks(V, eps):
     return (Z if basis is None else basis @ Z), T, rest, blocks
 
 
-def cluster_blocks(V, eps):
+def greedy_blocks(V, eps):
     """greedy_decompose's own blocks as (lift, T, rest, blocks), T block diagonal."""
     lift, squares, columns, pairs, rest = decompose._greedy_blocks(V, eps)
     T = np.zeros((lift.shape[1],) * 2)
@@ -370,7 +370,8 @@ def sequential_block_reference(V, max_m, eps, blocks_of=schur_blocks):
     """The greedy on blocks one step at a time, kept as an oracle.
 
     blocks_of(V, eps) gives the blocks: by default one real Schur form of the
-    whole compression, independent of greedy_decompose's clusters. Every
+    whole compression, with a 2-by-2 block wherever LAPACK left the
+    subdiagonal nonzero, independent of greedy_decompose's block rule. Every
     step takes the block by argmin over all blocks' eigenvalues, eigensolves
     that block alone, reflects its rows of T, refreshes its squared row norms
     and sums the residual over all rows. Returns the rows as (residual,
@@ -510,7 +511,7 @@ def assert_matches_sequential_oracle(V, budgets, eps_values, greedy=greedy_decom
             # repeated -1, so the reflections taken, and the product of a
             # budget that stops inside such a block, depend on the basis
             # there: they are compared with the same loop on greedy's blocks
-            _, same_blocks, _, _ = sequential_block_reference(V, max_m, eps, cluster_blocks)
+            _, same_blocks, _, _ = sequential_block_reference(V, max_m, eps, greedy_blocks)
             assert same_blocks.m >= trace.m
             same_blocks = HouseholderProduct(V.shape[0], same_blocks.directions[: trace.m])
             np.testing.assert_allclose(materialize(product), materialize(same_blocks), rtol=0, atol=1e-9)
@@ -552,6 +553,22 @@ def test_greedy_stops_when_its_plan_runs_out_below_roundoff(monkeypatch):
     assert eigh_calls[1e-6] == eigh_calls[1e-14] == 4  # the entry eigensolve and three rounds
     assert trace.m == 31 and trace.termination == "n_cap"
     assert 1e-14 < trace.final_residual <= 1e-13
+
+
+def test_greedy_ends_at_min_factors_on_exact_products_below_roundoff():
+    # README's 216 exact-product runs, at eps below the roundoff their factors
+    # leave: a 2-by-2 block of the Schur form whose subdiagonal lies within
+    # the roundoff floor is read as two 1-by-1 blocks at +1, which no step
+    # takes, so no run ends above the minimal count
+    for dist in DISTRIBUTIONS:
+        for n in (16, 32, 48):
+            for m in (n // 4, n // 2, n):
+                for seed in (1500, 1501):
+                    V, _ = synthesize(GeneratorSpec(dist, n=n, m=m, seed=seed))
+                    p = min_factors(V)
+                    for eps in (1e-14, 1e-16):
+                        _, trace = greedy_decompose(V, eps=eps)
+                        assert trace.m == p, (dist, n, m, seed, eps, trace.m, p)
 
 
 def prefix_instances():
@@ -760,9 +777,9 @@ def test_lowrank_router_matches_full_eigh_oracle_on_every_route(monkeypatch):
 
 def test_clustered_sweep_runs_every_block_route(monkeypatch):
     # distinct angles and repeated -1s take no Schur factorization; a
-    # repeated angle, or a pair of close angles split into two clusters that
-    # couples them beyond the roundoff floor, sends all of the compression to
-    # one, and greedy factors nothing smaller
+    # repeated angle, or a pair of close angles whose planes mix beyond the
+    # roundoff floor, leaves norm off the blocks of the compression and sends
+    # all of it to one, and greedy factors nothing smaller
     schur_shapes = recorder(monkeypatch, decompose, "schur")
     blocks_of = decompose._greedy_blocks
     widths = []
