@@ -21,15 +21,17 @@ UNIT_NORM_RTOL = 1e-12  # per-sqrt(n) slack on ||u|| = 1
 ORTHO_RTOL = 1e-8       # per-n slack on ||V^T V - I||_F
 SYM_RTOL = 1e-10        # per-n slack on ||A - A^T||_F
 BLOCK = 64              # directions per UT transform; 32 and 64 run alike, 16 is slower
+PANEL = 128             # block columns per update pass of _apply_block; 32 to 256 run alike
 
-# scipy.linalg.blas kernels, bound by _load_blas on first use: importing
-# scipy.linalg takes about 0.3 s and 27 MB, which recover and bound never need
-daxpy = ddot = dgemm = dtrsm = None
+# scipy.linalg.blas level-1 kernels of the vector apply, bound by _load_blas on
+# first use: numpy has no in-place axpy, and importing scipy.linalg takes about
+# 0.2 s and 28 MB, which every other command can skip
+daxpy = ddot = None
 
 
 def _load_blas() -> None:
-    global daxpy, ddot, dgemm, dtrsm
-    from scipy.linalg.blas import daxpy, ddot, dgemm, dtrsm
+    global daxpy, ddot
+    from scipy.linalg.blas import daxpy, ddot
 
 
 def _real_array(x, what: str) -> np.ndarray:
@@ -128,51 +130,73 @@ class HouseholderProduct:
         return tuple(Reflector(u) for u in self.directions)
 
 
+def _t_inverse(B: np.ndarray) -> np.ndarray:
+    """T^-1 = I/2 + striu(B B^T) of the UT transform of the rows of B."""
+    T_inv = np.triu(B @ B.T, 1)
+    np.fill_diagonal(T_inv, 0.5)
+    return T_inv
+
+
 def _apply_block(U: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Overwrite the Fortran-ordered n-by-k block y with H_1 ... H_m y, H_i = I - 2 u_i u_i^T.
 
     u_i is row i of U. The directions go in blocks of BLOCK rows, the last
     block first. A block B of b rows multiplies out to I - B^T T B, with T
     upper triangular and T^-1 = I/2 + striu(B B^T): the UT transform of
-    Schreiber & Van Loan (1989), revisited by Joffrain et al. (2006). So each
-    block costs one dgemm for W = B y, one dtrsm for W <- T W, and one dgemm
-    that subtracts B^T W from y in place. Returns y.
+    Schreiber & Van Loan (1989), revisited by Joffrain et al. (2006). The
+    work runs on Z = y^T, a C-ordered k-by-n view. Each block takes one
+    matmul for W^T = Z B^T, one triangular solve for W <- T W, and the
+    update Z -= W^T B, PANEL rows of Z at a time through one scratch panel,
+    so no second k-by-n array is made. np.linalg.solve on the triangular
+    T^-1 (an LU without row swaps) returns the bits of a dtrsm. It costs
+    about 2.5 times a dtrsm, as it also factors T^-1 and solves with L = I;
+    an explicit inverse is cheaper but rounds differently. Returns y.
     """
-    if dgemm is None:
-        _load_blas()
+    Z = y.T
+    k, n = Z.shape
+    panel = np.empty((min(PANEL, k), n))
     for stop in range(U.shape[0], 0, -BLOCK):
-        Bt = U[max(stop - BLOCK, 0):stop].T  # n-by-b, Fortran-ordered for a C-ordered U
-        T_inv = np.triu(Bt.T @ Bt, 1)
-        np.fill_diagonal(T_inv, 0.5)
-        W = dtrsm(1.0, T_inv, dgemm(1.0, Bt, y, trans_a=1), overwrite_b=1)
-        y = dgemm(-1.0, Bt, W, beta=1.0, c=y, overwrite_c=1)
+        B = U[max(stop - BLOCK, 0):stop]
+        # C-ordered W^T: the update then runs the same GEMM as one B^T W
+        Wt = np.ascontiguousarray(np.linalg.solve(_t_inverse(B), (Z @ B.T).T).T)
+        for start in range(0, k, PANEL):
+            rows = slice(start, start + PANEL)
+            Z[rows] -= np.matmul(Wt[rows], B, out=panel[:min(PANEL, k - start)])
     return y
+
+
+def _check_finite(flat: np.ndarray, dot) -> None:
+    """Raise ValueError unless every entry of flat is finite, in one pass of dot.
+
+    The sum of squares is finite when every entry is, unless it overflows.
+    """
+    if flat.size and not (math.isfinite(dot(flat, flat)) or np.isfinite(flat).all()):
+        raise ValueError("apply input must be finite, got NaN or infinite entries")
 
 
 def apply(product: HouseholderProduct, x) -> np.ndarray:
     """Apply the product to a vector, or to each column of an n-by-k block, O(m*n*k).
 
     The last direction acts first. A vector takes two BLAS level-1 passes per
-    factor (ddot, daxpy); a block goes through _apply_block's UT transforms on
-    a Fortran-ordered copy. x is never modified. Complex or non-finite input
-    raises ValueError before any work.
+    factor (scipy's ddot and daxpy); a block goes through _apply_block's UT
+    transforms on a Fortran-ordered copy, on numpy alone. x is never
+    modified. Complex or non-finite input raises ValueError before any work.
     """
     y = np.array(_real_array(x, "apply input"), order="F")
     if y.ndim not in (1, 2) or y.shape[0] != product.n:
         raise ValueError(
             f"dimension mismatch: input of shape {y.shape}, product of dimension {product.n}"
         )
+    flat = y.ravel(order="A")  # a view: y is contiguous
+    if y.ndim == 2:
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's dot warns on overflow
+            _check_finite(flat, np.dot)
+        return _apply_block(product.directions, y)
     if ddot is None:
         _load_blas()
-    flat = y.ravel(order="A")  # a view: y is contiguous
-    # one pass: the sum of squares is finite when every entry is, unless it overflows
-    if flat.size and not (math.isfinite(ddot(flat, flat)) or np.isfinite(flat).all()):
-        raise ValueError("apply input must be finite, got NaN or infinite entries")
-    if y.ndim == 1:
-        for u in product.directions[::-1]:
-            daxpy(u, y, a=-2.0 * ddot(u, y))
-    elif y.size:  # dgemm rejects a block without columns
-        y = _apply_block(product.directions, y)
+    _check_finite(flat, ddot)  # a third of np.dot's fixed cost, and it never warns
+    for u in product.directions[::-1]:
+        daxpy(u, y, a=-2.0 * ddot(u, y))
     return y
 
 
@@ -181,11 +205,19 @@ def materialize(product: HouseholderProduct) -> np.ndarray:
 
     Built as the transpose of H_m ... H_1 applied to the identity by
     _apply_block, so it agrees with one rank-1 update per factor within
-    roundoff, not bit for bit. The result is orthogonal up to roundoff; a
-    single factor gives exactly I - 2*u*u^T.
+    roundoff, not bit for bit. The first block acts on the identity, so it
+    is formed directly as I - B^T T B: one matmul and no subtraction pass.
+    The result is orthogonal up to roundoff; a single factor gives exactly
+    I - 2*u*u^T.
     """
+    n = product.n
     reversed_rows = np.ascontiguousarray(product.directions[::-1])
-    return _apply_block(reversed_rows, np.eye(product.n, order="F")).T
+    B = reversed_rows[-BLOCK:]  # the block _apply_block takes first
+    # M = I - (T B)^T B: the matmul of -(T B)^T rounds each entry as the
+    # subtraction would, and the diagonal then takes its 1
+    M = np.matmul(np.negative(np.linalg.solve(_t_inverse(B), B).T, order="C"), B)
+    M.flat[:: n + 1] += 1.0
+    return _apply_block(reversed_rows[:-BLOCK], M.T).T
 
 
 def check_orthogonal(V) -> np.ndarray:

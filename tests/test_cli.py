@@ -98,34 +98,61 @@ def scipy_linalg_loaded(*commands):
     return json.loads(done.stdout)
 
 
-def test_recover_bound_and_dense_decompose_leave_scipy_linalg_unloaded(tmp_path):
-    # its import costs about 0.3 s and 27 MB that these commands never use
+def test_recover_bound_synth_block_apply_and_dense_decompose_leave_scipy_linalg_unloaded(tmp_path):
+    # its import costs about 0.2 s and 28 MB that these commands never use:
+    # block apply and materialize run on numpy's own BLAS
     data_path = tmp_path / "y.mat"
     fileio.save_matrix(data_path, (np.eye(3) - 2.0 * np.outer(U_TRUE, U_TRUE)) @ np.eye(3)[:, :2])
     negated_path, gaussian_path = tmp_path / "neg.mat", tmp_path / "g.mat"
     fileio.save_matrix(negated_path, -np.eye(64))
     fileio.save_matrix(gaussian_path, synthesize(GeneratorSpec("gaussian", n=64, m=64, seed=1))[0])
+    factors_path = tmp_path / "g.hprod"
+    fileio.save_product(factors_path, synthesize(GeneratorSpec("gaussian", n=64, m=4, seed=2))[1])
     commands = (
         ["recover", str(data_path)],
         ["bound", str(gaussian_path)],
         ["decompose", str(negated_path), "--out", str(tmp_path / "neg.hprod")],
         ["decompose", str(gaussian_path), "--eps", "1e-6"],
+        ["apply", str(factors_path), str(gaussian_path)],  # a block of 64 columns
+        ["synth", "--n", "8", "--m", "2", "--out", str(tmp_path / "s.mat")],
     )
     assert scipy_linalg_loaded(*commands) == [False] + [[0, False]] * len(commands)
 
 
-@pytest.mark.parametrize("command", ["apply", "synth", "decompose-lowrank"])
+@pytest.mark.parametrize("command", ["decompose-lowrank"])
 def test_commands_that_need_scipy_linalg_load_it(tmp_path, command):
-    matrix, product = synthesize(GeneratorSpec("gaussian", n=64, m=4, seed=2))
-    matrix_path, factors_path = tmp_path / "v.mat", tmp_path / "v.hprod"
+    matrix, _ = synthesize(GeneratorSpec("gaussian", n=64, m=4, seed=2))
+    matrix_path = tmp_path / "v.mat"
     fileio.save_matrix(matrix_path, matrix)
-    fileio.save_product(factors_path, product)
     argv = {
-        "apply": ["apply", str(factors_path), str(matrix_path)],  # a block: level-3 BLAS
-        "synth": ["synth", "--n", "8", "--m", "2", "--out", str(tmp_path / "s.mat")],
         "decompose-lowrank": ["decompose", str(matrix_path), "--eps", "1e-6"],  # qr of the range basis
     }[command]
     assert scipy_linalg_loaded(argv) == [False, [0, True]]
+
+
+# applies a 3-factor product to a block, then to a vector, and prints whether
+# scipy.linalg was loaded after each
+VECTOR_APPLY_PROBE = """
+import json, sys
+import numpy as np
+from hhfactor import HouseholderProduct, apply
+product = HouseholderProduct(4, np.eye(4)[:3])
+loaded = []
+for x in (np.ones((4, 2)), np.ones(4)):
+    apply(product, x)
+    loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_vector_apply_loads_the_level_1_kernels_and_block_apply_does_not():
+    # numpy has no in-place axpy, so a vector still runs on scipy's ddot and daxpy
+    done = subprocess.run(
+        [sys.executable, "-c", VECTOR_APPLY_PROBE],
+        env=checkout_env(), capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, True]
 
 
 def test_synth_factors_match_matrix(tmp_path):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from hhfactor import (
     symmetric_part,
 )
 from hhfactor import fileio
+from hhfactor import core
 from hhfactor.core import SIGN_EPS
 
 
@@ -205,19 +209,48 @@ def test_apply_rejects_complex_and_non_finite_input(shape, bad, message):
 
 @pytest.mark.parametrize("shape", [(67,), (33, 5)], ids=["vector", "block"])
 def test_apply_finiteness_check_sees_every_entry_and_survives_overflow(shape):
-    # the check is one ddot of x with itself: a bad entry anywhere makes it NaN
-    # or inf, and a finite x whose sum of squares overflows is still applied
+    # the check is one dot product of x with itself: a bad entry anywhere makes
+    # it NaN or inf, and a finite x whose sum of squares overflows is still
+    # applied; neither case may warn
     rng = np.random.default_rng(5)
     p = random_product(rng, shape[0], 3)
     x = rng.standard_normal(shape)
-    for index in np.ndindex(shape):
-        for bad in (np.nan, np.inf, -np.inf):
-            y = x.copy()
-            y[index] = bad
-            with pytest.raises(ValueError, match="finite"):
-                apply(p, y)
-    scale = 2.0**1000  # a power of two: scaling commutes with every rounding
-    np.testing.assert_array_equal(apply(p, x * scale), apply(p, x) * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for index in np.ndindex(shape):
+            for bad in (np.nan, np.inf, -np.inf):
+                y = x.copy()
+                y[index] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    apply(p, y)
+        scale = 2.0**1000  # a power of two: scaling commutes with every rounding
+        np.testing.assert_array_equal(apply(p, x * scale), apply(p, x) * scale)
+
+
+def traced_peak_bytes(call):
+    """Peak bytes that tracemalloc sees allocated during call(), above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_apply_and_materialize_allocate_no_second_block():
+    # numpy reports its allocations to tracemalloc. Beyond the n-by-k result
+    # (the Fortran-ordered copy of X, or the dense matrix), the UT transform
+    # keeps one update panel and a few b-by-k arrays: W, T W and W^T.
+    n, k, m = 512, 512, 128
+    rng = np.random.default_rng(9)
+    p = random_product(rng, n, m)
+    X = rng.standard_normal((n, k))
+    panel = 128 * n * 8  # an update panel of at most 128 rows of n entries
+    small = 5 * core.BLOCK * k * 8  # a second n-by-k array would take 8 of these
+    for call in (lambda: apply(p, X), lambda: materialize(p)):
+        call()  # the first call may load modules
+        assert traced_peak_bytes(call) <= n * k * 8 + panel + small
 
 
 U_WORKED = np.array([2 / 3, 1 / 3, 2 / 3])

@@ -75,22 +75,22 @@ ORACLE_N = 140
 ORACLE_MS = (0, 1, 63, 64, 65, 128, 130)  # both sides of one and two blocks of 64
 
 
-def oracle_directions(kind, m, rng):
-    """m unit rows of ORACLE_N entries: generic, or a set that stresses the UT transform."""
+def oracle_directions(kind, m, rng, n=ORACLE_N):
+    """m unit rows of n entries: generic, or a set that stresses the UT transform."""
     def unit(rows):
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
-    u = unit(rng.standard_normal((1, ORACLE_N)))
+    u = unit(rng.standard_normal((1, n)))
     if kind == "random":
-        return unit(rng.standard_normal((m, ORACLE_N)))
+        return unit(rng.standard_normal((m, n)))
     if kind == "repeated":
         return np.repeat(u, m, axis=0)
     if kind == "alternating":  # u, -u, u, ...; the product keeps one canonical sign
         return np.repeat(u, m, axis=0) * np.where(np.arange(m) % 2, -1.0, 1.0)[:, None]
     if kind == "close":  # rows about 1e-8 apart
-        return unit(u + 1e-8 * unit(rng.standard_normal((m, ORACLE_N))))
+        return unit(u + 1e-8 * unit(rng.standard_normal((m, n))))
     assert kind == "orthonormal"
-    return np.linalg.qr(rng.standard_normal((ORACLE_N, m)))[0].T
+    return np.linalg.qr(rng.standard_normal((n, m)))[0].T
 
 
 ORACLE_KINDS = ("random", "repeated", "alternating", "close", "orthonormal")
@@ -127,6 +127,22 @@ def test_materialize_single_factor_is_exact():
     np.testing.assert_array_equal(
         materialize(HouseholderProduct(ORACLE_N, [u])), np.eye(ORACLE_N) - 2.0 * np.outer(u, u)
     )
+
+
+@pytest.mark.parametrize("kind", ["random", "repeated", "alternating"])
+@pytest.mark.parametrize("n", [1, 33, 500])
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 129])  # both sides of BLOCK = 64 and 2 * BLOCK
+@pytest.mark.parametrize("k", [0, 1, 3, 97])
+def test_block_apply_matches_rank_one_oracle_across_shapes(kind, n, m, k):
+    rng = np.random.default_rng([ORACLE_KINDS.index(kind), n, m, k])
+    product = HouseholderProduct(n, oracle_directions(kind, m, rng, n))
+    X = rng.standard_normal((n, k)) * np.logspace(-3, 3, k)
+    Y = apply(product, X)
+    assert Y.shape == (n, k)  # k = 0 included: an n-by-0 block comes back as one
+    column_tol = roundoff_tol(m) * np.maximum(1.0, np.linalg.norm(X, axis=0))
+    assert (np.abs(Y - per_factor_apply(product.directions, X)).max(axis=0) <= column_tol).all()
+    if kind != "random" and m % 2 == 0:  # u, u or u, -u: each pair multiplies out to I
+        assert (np.abs(Y - X).max(axis=0) <= column_tol).all()
 
 
 def test_block_apply_and_materialize_at_dimension_zero():
