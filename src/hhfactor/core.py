@@ -21,7 +21,8 @@ UNIT_NORM_RTOL = 1e-12  # per-sqrt(n) slack on ||u|| = 1
 ORTHO_RTOL = 1e-8       # per-n slack on ||V^T V - I||_F
 SYM_RTOL = 1e-10        # per-n slack on ||A - A^T||_F
 BLOCK = 64              # directions per UT transform; 32 and 64 run alike, 16 is slower
-PANEL = 128             # block columns per update pass of _apply_block; 32 to 256 run alike
+LEAF = 16               # diagonal blocks of T^-1 that np.linalg.inv inverts; 32 is slower
+PANEL = 128             # block columns per update pass of _apply_block; 32 and 64 run 2-5% slower
 
 # scipy.linalg.blas level-1 kernels of the vector apply, bound by _load_blas on
 # first use: numpy has no in-place axpy, and importing scipy.linalg takes about
@@ -130,35 +131,57 @@ class HouseholderProduct:
         return tuple(Reflector(u) for u in self.directions)
 
 
-def _t_inverse(B: np.ndarray) -> np.ndarray:
-    """T^-1 = I/2 + striu(B B^T) of the UT transform of the rows of B."""
-    T_inv = np.triu(B @ B.T, 1)
-    np.fill_diagonal(T_inv, 0.5)
-    return T_inv
+def _t_factors(U: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of at most BLOCK rows of U, last block first, each with the T of its UT transform.
+
+    A block B multiplies out to I - B^T T B, with T upper triangular and
+    T^-1 = I/2 + striu(B B^T). The T^-1 of all blocks are stacked, a short
+    last block padded with I/2, and inverted together: np.linalg.inv on the
+    diagonal blocks of LEAF rows, then [[A, C], [0, D]]^-1 = [[A^-1,
+    -A^-1 C D^-1], [0, D^-1]] on blocks of twice the size. That is the
+    blocked triangular inverse of LAPACK's trtri, paid once per call.
+    numpy has no triangular solve, and np.linalg.solve with each T^-1 also
+    runs an LU and a unit-lower solve: block apply took 1.3 to 1.5 times as
+    long as with scipy's dtrsm. T rounds differently from that solve, in
+    trailing digits.
+    """
+    blocks = [U[max(stop - BLOCK, 0):stop] for stop in range(U.shape[0], 0, -BLOCK)]
+    T_inv = np.zeros((len(blocks), BLOCK, BLOCK))
+    for t, B in zip(T_inv, blocks):
+        t[:len(B), :len(B)] = B @ B.T
+    T_inv = np.triu(T_inv, 1)
+    T_inv.reshape(len(blocks), BLOCK * BLOCK)[:, :: BLOCK + 1] = 0.5
+    T = np.zeros_like(T_inv)
+    # [:, i, :, i] of a stack reshaped to tiled is its i-th diagonal block of LEAF rows
+    leaves = np.arange(BLOCK // LEAF)
+    tiled = (len(blocks), BLOCK // LEAF, LEAF, BLOCK // LEAF, LEAF)
+    diagonal = np.linalg.inv(T_inv.reshape(tiled)[:, leaves, :, leaves])
+    T.reshape(tiled)[:, leaves, :, leaves] = diagonal
+    size = LEAF
+    while size < BLOCK:
+        for start in range(0, BLOCK, 2 * size):
+            a, d = slice(start, start + size), slice(start + size, start + 2 * size)
+            T[:, a, d] = -(T[:, a, a] @ T_inv[:, a, d]) @ T[:, d, d]
+        size *= 2
+    return [(B, t[:len(B), :len(B)]) for B, t in zip(blocks, T)]
 
 
 def _apply_block(U: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Overwrite the Fortran-ordered n-by-k block y with H_1 ... H_m y, H_i = I - 2 u_i u_i^T.
 
     u_i is row i of U. The directions go in blocks of BLOCK rows, the last
-    block first. A block B of b rows multiplies out to I - B^T T B, with T
-    upper triangular and T^-1 = I/2 + striu(B B^T): the UT transform of
-    Schreiber & Van Loan (1989), revisited by Joffrain et al. (2006). The
-    work runs on Z = y^T, a C-ordered k-by-n view. Each block takes one
-    matmul for W^T = Z B^T, one triangular solve for W <- T W, and the
-    update Z -= W^T B, PANEL rows of Z at a time through one scratch panel,
-    so no second k-by-n array is made. np.linalg.solve on the triangular
-    T^-1 (an LU without row swaps) returns the bits of a dtrsm. It costs
-    about 2.5 times a dtrsm, as it also factors T^-1 and solves with L = I;
-    an explicit inverse is cheaper but rounds differently. Returns y.
+    block first, through the UT transform of Schreiber & Van Loan (1989),
+    revisited by Joffrain et al. (2006): a block B acts as I - B^T T B, with
+    T from _t_factors. The work runs on Z = y^T, a C-ordered k-by-n view.
+    Each block takes the matmuls W^T = (Z B^T) T^T and Z -= W^T B, the
+    latter PANEL rows of Z at a time through one scratch panel, so no
+    second k-by-n array is made. Returns y.
     """
     Z = y.T
     k, n = Z.shape
     panel = np.empty((min(PANEL, k), n))
-    for stop in range(U.shape[0], 0, -BLOCK):
-        B = U[max(stop - BLOCK, 0):stop]
-        # C-ordered W^T: the update then runs the same GEMM as one B^T W
-        Wt = np.ascontiguousarray(np.linalg.solve(_t_inverse(B), (Z @ B.T).T).T)
+    for B, T in _t_factors(U):
+        Wt = (Z @ B.T) @ T.T
         for start in range(0, k, PANEL):
             rows = slice(start, start + PANEL)
             Z[rows] -= np.matmul(Wt[rows], B, out=panel[:min(PANEL, k - start)])
@@ -205,19 +228,11 @@ def materialize(product: HouseholderProduct) -> np.ndarray:
 
     Built as the transpose of H_m ... H_1 applied to the identity by
     _apply_block, so it agrees with one rank-1 update per factor within
-    roundoff, not bit for bit. The first block acts on the identity, so it
-    is formed directly as I - B^T T B: one matmul and no subtraction pass.
-    The result is orthogonal up to roundoff; a single factor gives exactly
-    I - 2*u*u^T.
+    roundoff, not bit for bit. The result is orthogonal up to roundoff; a
+    single factor gives exactly I - 2*u*u^T.
     """
-    n = product.n
     reversed_rows = np.ascontiguousarray(product.directions[::-1])
-    B = reversed_rows[-BLOCK:]  # the block _apply_block takes first
-    # M = I - (T B)^T B: the matmul of -(T B)^T rounds each entry as the
-    # subtraction would, and the diagonal then takes its 1
-    M = np.matmul(np.negative(np.linalg.solve(_t_inverse(B), B).T, order="C"), B)
-    M.flat[:: n + 1] += 1.0
-    return _apply_block(reversed_rows[:-BLOCK], M.T).T
+    return _apply_block(reversed_rows, np.eye(product.n, order="F")).T
 
 
 def check_orthogonal(V) -> np.ndarray:

@@ -241,16 +241,18 @@ def traced_peak_bytes(call):
 def test_block_apply_and_materialize_allocate_no_second_block():
     # numpy reports its allocations to tracemalloc. Beyond the n-by-k result
     # (the Fortran-ordered copy of X, or the dense matrix), the UT transform
-    # keeps one update panel and a few b-by-k arrays: W, T W and W^T.
+    # keeps one update panel, the b-by-b T^-1 and T of each block, and a few
+    # b-by-k arrays such as Z B^T and W^T.
     n, k, m = 512, 512, 128
     rng = np.random.default_rng(9)
     p = random_product(rng, n, m)
     X = rng.standard_normal((n, k))
-    panel = 128 * n * 8  # an update panel of at most 128 rows of n entries
+    panel = core.PANEL * n * 8  # an update panel of at most PANEL rows of n entries
     small = 5 * core.BLOCK * k * 8  # a second n-by-k array would take 8 of these
-    for call in (lambda: apply(p, X), lambda: materialize(p)):
+    # materialize also copies the directions in reverse order, m-by-n
+    for call, copies in ((lambda: apply(p, X), 0), (lambda: materialize(p), p.directions.nbytes)):
         call()  # the first call may load modules
-        assert traced_peak_bytes(call) <= n * k * 8 + panel + small
+        assert traced_peak_bytes(call) <= n * k * 8 + panel + small + copies
 
 
 U_WORKED = np.array([2 / 3, 1 / 3, 2 / 3])
