@@ -243,7 +243,9 @@ def check_orthogonal(V) -> np.ndarray:
     n = M.shape[0]
     tol = ORTHO_RTOL * n
     with np.errstate(invalid="ignore", over="ignore"):
-        defect = np.linalg.norm(M.T @ M - np.eye(n), "fro")
+        gram = M.T @ M
+        gram.flat[:: n + 1] -= 1.0  # V^T V - I in the one n-by-n array
+        defect = np.linalg.norm(gram, "fro")
     if not defect <= tol:  # a non-finite entry makes defect NaN or inf
         raise ValueError(
             f"matrix is not orthogonal: ||V^T V - I||_F = {defect:.3e} exceeds {tol:.3e}"

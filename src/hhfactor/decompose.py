@@ -13,9 +13,10 @@ p = n - dim ker(V - I), unless dropping ker(V - I) would cost more than
 eps/2; then Q holds all n eigenvectors of sym(V). Since
 ||V - I||_F^2 = 2(n - tr V) and ||V - I||_2 <= 2, rank(V - I) is at least
 (n - tr V)/2; when that is at most n/4, blocked Gram-Schmidt on V - I finds
-a basis of its range in O(n^2 p), and the eigensolve is of the r-by-r
-compression to it. Past n/4 columns, or when that route would drop more
-than eps/2, the n-by-n eigensolve of sym(V) runs instead. An orthogonal
+a basis of its range in O(n^2 p), in one n-by-n working array with numpy's
+QR of each block, and the eigensolve is of the r-by-r compression to it.
+Past n/4 columns, or when that route would drop more than eps/2, the n-by-n
+eigensolve of sym(V) runs instead. An orthogonal
 matrix is normal, so each eigenspace of sym(V) is V-invariant (Golub &
 Van Loan, Matrix Computations, 7.4), and C is block diagonal by eigenvalue
 of sym(V). One rule reads the blocks of C and of its Schur form alike: row
@@ -72,15 +73,8 @@ RANGE_SHARE = 4        # past n/4 columns the range basis costs about the n-by-n
 
 
 # scipy.linalg (about 0.3 s and 27 MB to import) loads on the first call of
-# either wrapper, so greedy on an input that takes neither the low-rank route
-# nor the Schur fallback never loads it, and neither do recover and bound
-def qr(*args, **kwargs):
-    """scipy.linalg.qr, which only the low-rank route (_range_basis) calls."""
-    from scipy.linalg import qr
-
-    return qr(*args, **kwargs)
-
-
+# this wrapper, so greedy loads it only on the Schur fallback, and recover and
+# bound never do
 def schur(*args, **kwargs):
     """scipy.linalg.schur, which only the Schur fallback of _spectral_blocks calls."""
     from scipy.linalg import schur
@@ -149,27 +143,34 @@ def _moving_rank(eigenvalues: np.ndarray, n: int):
 def _range_basis(M: np.ndarray):
     """(Q, C, dropped) for an orthonormal basis Q of range(M - I); None past n / RANGE_SHARE columns.
 
-    C = Q^T M Q and dropped = ||M - I - Q (C - I) Q^T||_F. Blocked,
-    column-pivoted Gram-Schmidt: each pass takes the GS_BLOCK residual
-    columns of largest norm, orthogonalizes them against Q a second time,
-    keeps the columns of their pivoted QR with |r_jj| above roundoff and
-    deflates the residual, until a pass keeps none. Q <- qr((M - I) Q) then
-    takes back what roundoff left outside span(Q).
+    C = Q^T M Q and dropped = ||M - I - Q (C - I) Q^T||_F. Blocked
+    Gram-Schmidt on the residual R, which starts as M - I and is the route's
+    one n-by-n array: each pass takes the GS_BLOCK residual columns of
+    largest norm, in descending order, orthogonalizes them against Q a second
+    time, keeps the leading run of the columns of their QR whose |r_jj| lies
+    above roundoff, and deflates R, until a pass keeps none. r_11 is the
+    largest residual column norm, so the passes stop where column-pivoted QR
+    would. The run ends at the first column left at roundoff: that column's Q
+    direction is noise, and a column kept after it would leave its part along
+    the noise in R, for the next pass to add as a column beyond rank(M - I).
+    Q <- qr(M Q - Q) then takes back what roundoff left outside span(Q).
     """
     n = M.shape[0]
-    A = M - np.eye(n)
-    R, Q = A.copy(), np.empty((n, 0))
+    floor = RADICAND_NOISE * n * np.finfo(float).eps
+    R, Q = M.copy(), np.empty((n, 0))
+    R.flat[:: n + 1] -= 1.0
     while Q.shape[1] <= n / RANGE_SHARE:
-        P = R[:, np.argsort(np.einsum("ij,ij->j", R, R))[-GS_BLOCK:]]
+        P = R[:, np.argsort(-np.einsum("ij,ij->j", R, R))[:GS_BLOCK]]
         P -= Q @ (Q.T @ P)
-        Z, T, _ = qr(P, mode="economic", pivoting=True)
-        Z = Z[:, np.abs(np.diag(T)) > RADICAND_NOISE * n * np.finfo(float).eps]
+        Z, T = np.linalg.qr(P)
+        Z = Z[:, : np.logical_and.accumulate(np.abs(np.diag(T)) > floor).sum()]
         if Z.shape[1] == 0:
-            Q = qr(A @ Q, mode="economic")[0]
-            C = Q.T @ A @ Q
-            np.matmul(Q @ C, Q.T, out=R)  # in the residual's buffer: no other n-by-n array
-            R -= A
-            return Q, C + np.eye(Q.shape[1]), float(np.linalg.norm(R))
+            Q = np.linalg.qr(M @ Q - Q)[0]
+            C = Q.T @ M @ Q
+            np.matmul(Q @ (C - np.eye(Q.shape[1])), Q.T, out=R)  # in the residual's buffer
+            R -= M
+            R.flat[:: n + 1] += 1.0
+            return Q, C, float(np.linalg.norm(R))
         Q = np.hstack((Q, Z))
         R -= Z @ (Z.T @ R)
     return None

@@ -98,14 +98,17 @@ def scipy_linalg_loaded(*commands):
     return json.loads(done.stdout)
 
 
-def test_recover_bound_synth_block_apply_and_dense_decompose_leave_scipy_linalg_unloaded(tmp_path):
+def test_recover_bound_synth_block_apply_decompose_and_sweep_leave_scipy_linalg_unloaded(tmp_path):
     # its import costs about 0.2 s and 28 MB that these commands never use:
-    # block apply and materialize run on numpy's own BLAS
+    # block apply, materialize and the low-rank route's QR run on numpy's own
+    # BLAS and LAPACK
     data_path = tmp_path / "y.mat"
     fileio.save_matrix(data_path, (np.eye(3) - 2.0 * np.outer(U_TRUE, U_TRUE)) @ np.eye(3)[:, :2])
     negated_path, gaussian_path = tmp_path / "neg.mat", tmp_path / "g.mat"
     fileio.save_matrix(negated_path, -np.eye(64))
     fileio.save_matrix(gaussian_path, synthesize(GeneratorSpec("gaussian", n=64, m=64, seed=1))[0])
+    lowrank_path = tmp_path / "low.mat"  # a decompose-lowrank cell
+    fileio.save_matrix(lowrank_path, synthesize(GeneratorSpec("gaussian", n=256, m=8, seed=3))[0])
     factors_path = tmp_path / "g.hprod"
     fileio.save_product(factors_path, synthesize(GeneratorSpec("gaussian", n=64, m=4, seed=2))[1])
     commands = (
@@ -113,21 +116,23 @@ def test_recover_bound_synth_block_apply_and_dense_decompose_leave_scipy_linalg_
         ["bound", str(gaussian_path)],
         ["decompose", str(negated_path), "--out", str(tmp_path / "neg.hprod")],
         ["decompose", str(gaussian_path), "--eps", "1e-6"],
+        ["decompose", str(lowrank_path), "--eps", "1e-6"],
+        ["sweep", "gaussian", "--outdir", str(tmp_path / "sweep"), "--n", "64", "--m-list", "2,4"],
         ["apply", str(factors_path), str(gaussian_path)],  # a block of 64 columns
         ["synth", "--n", "8", "--m", "2", "--out", str(tmp_path / "s.mat")],
     )
     assert scipy_linalg_loaded(*commands) == [False] + [[0, False]] * len(commands)
 
 
-@pytest.mark.parametrize("command", ["decompose-lowrank"])
-def test_commands_that_need_scipy_linalg_load_it(tmp_path, command):
-    matrix, _ = synthesize(GeneratorSpec("gaussian", n=64, m=4, seed=2))
+def test_decompose_with_a_repeated_angle_loads_scipy_linalg(tmp_path):
+    # two planes at one angle lie in an arbitrary basis of their eigenspace,
+    # so greedy reads its blocks off scipy's real Schur form
+    D = np.eye(64)
+    D[:4, :4] = np.kron(np.eye(2), [[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    Q = haar_orthogonal(np.random.default_rng(5), 64)
     matrix_path = tmp_path / "v.mat"
-    fileio.save_matrix(matrix_path, matrix)
-    argv = {
-        "decompose-lowrank": ["decompose", str(matrix_path), "--eps", "1e-6"],  # qr of the range basis
-    }[command]
-    assert scipy_linalg_loaded(argv) == [False, [0, True]]
+    fileio.save_matrix(matrix_path, Q @ D @ Q.T)
+    assert scipy_linalg_loaded(["decompose", str(matrix_path), "--eps", "1e-6"]) == [False, [0, True]]
 
 
 # applies a 3-factor product to a block, then to a vector, and prints whether

@@ -255,6 +255,17 @@ def test_block_apply_and_materialize_allocate_no_second_block():
         assert traced_peak_bytes(call) <= n * k * 8 + panel + small + copies
 
 
+def test_validation_and_low_rank_greedy_hold_few_copies_of_v():
+    # check_orthogonal forms V^T V - I in the one n-by-n array of V^T V, and
+    # the low-rank route holds only its residual R = V - I and, while it
+    # deflates R, one rank-8 update of it
+    n = 1024
+    V = materialize(random_product(np.random.default_rng(8), n, 8))
+    for call, copies in ((lambda: check_orthogonal(V), 1.1), (lambda: greedy_decompose(V), 2.2)):
+        call()  # the first call may load modules
+        assert traced_peak_bytes(call) <= copies * V.nbytes
+
+
 U_WORKED = np.array([2 / 3, 1 / 3, 2 / 3])
 H_WORKED = np.eye(3) - 2.0 * np.outer(U_WORKED, U_WORKED)
 X_WORKED = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

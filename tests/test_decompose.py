@@ -705,6 +705,41 @@ def test_range_basis_spans_the_moving_subspace():
         assert dropped <= 1e-13
 
 
+def packed_reflections(rng, n, k):
+    """Product of k reflections along disjoint supports of about 5 of the leading rows.
+
+    Each direction has entries at scale 1 and one at a scale between 1e-1
+    and 1e-3, so parallel columns of one reflection come before another
+    reflection's columns in descending norm order.
+    """
+    supports = np.array_split(rng.permutation(min(n, 5 * k)), k)
+    directions = np.zeros((k, n))
+    for row, support in zip(directions, supports):
+        scales = np.append(np.ones(support.size - 1), 10.0 ** -rng.uniform(1, 3))
+        row[support] = rng.standard_normal(support.size) * scales
+    return materialize(HouseholderProduct(n, directions / np.linalg.norm(directions, axis=1, keepdims=True)))
+
+
+@pytest.mark.parametrize("n", [24, 64, 192])
+def test_range_basis_keeps_the_leading_run_of_each_qr(n):
+    # a pass's QR leaves a column parallel to a kept one at roundoff, and its
+    # Q column there is noise on the leading rows, which other supports hold;
+    # a column kept after it would carry that noise's direction into the
+    # residual, and the next pass would add a column beyond rank(V - I)
+    rng = np.random.default_rng(33)
+    for _ in range(100):
+        k = int(rng.integers(2, 6))
+        V = packed_reflections(rng, n, k)
+        A = V - np.eye(n)
+        Q, C, dropped = decompose._range_basis(V)
+        assert Q.shape[1] == np.linalg.matrix_rank(A) == k
+        assert np.linalg.norm(A - Q @ (Q.T @ A)) <= 1e-12
+        kept = Q @ (C - np.eye(k)) @ Q.T
+        assert abs(dropped - np.linalg.norm(A - kept)) <= 1e-15
+        _, trace = greedy_decompose(V, eps=1e-10)
+        assert (trace.termination, trace.m) == ("converged", k)
+
+
 def disjoint_reflections(rng, n, k):
     """Product of k reflections along sparse directions with disjoint supports: -1 k times."""
     supports = np.array_split(rng.permutation(n)[: 4 * k], k)

@@ -3,6 +3,7 @@
 Usage, from the root of a source checkout:
 
     python3 tools/greedy_digest.py LO HI > digest.txt
+    python3 tools/greedy_digest.py --counts LO HI > counts.txt
 
 For each workload seed in [LO, HI) and each cell of decompose-lowrank and
 decompose-fullrank (perfbench/workloads.py), it builds the cell's matrix as
@@ -10,8 +11,11 @@ the workload does (-I for the negated-identity cells), runs greedy_decompose
 at the workload's eps, and prints one line: seed, workload, label, factor
 count, termination and the SHA-256 of the factor directions' bytes followed
 by repr(trace). Two checkouts whose digests match under ``diff`` return
-byte-identical factors and traces on those instances. The BLAS runs at one
-thread, since results can differ in the last bits between thread counts.
+byte-identical factors and traces on those instances. With ``--counts`` the
+line ends with the dim_e1 of every trace row instead of the hash: these are
+the parts that must stay exact when a change moves trailing bits, so ``diff``
+of two such outputs gates them alone. The BLAS runs at one thread, since
+results can differ in the last bits between thread counts.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from workloads import EPS, FULLRANK_CELLS, LOWRANK_CELLS, cell_seed  # noqa: E40
 WORKLOAD_CELLS = (("decompose-lowrank", LOWRANK_CELLS), ("decompose-fullrank", FULLRANK_CELLS))
 
 
-def digest_lines(seed: int):
-    """One digest line per cell of both decompose workloads at this seed."""
+def digest_lines(seed: int, counts: bool = False):
+    """One digest line per cell of both decompose workloads at this seed; see the module docstring."""
     for workload, cells in WORKLOAD_CELLS:
         for index, (dist, n, m) in enumerate(cells):
             if dist == "negated-identity":
@@ -45,17 +49,21 @@ def digest_lines(seed: int):
             else:
                 V, _ = synthesize(GeneratorSpec(dist, n=n, m=m, seed=cell_seed(seed, index)))
             product, trace = greedy_decompose(V, eps=EPS)
-            digest = hashlib.sha256(product.directions.tobytes() + repr(trace).encode()).hexdigest()
+            if counts:
+                digest = " ".join(str(row.dim_e1) for row in trace.rows)
+            else:
+                digest = hashlib.sha256(product.directions.tobytes() + repr(trace).encode()).hexdigest()
             yield f"{seed} {workload} {dist}-n{n}-m{m} {trace.m} {trace.termination} {digest}"
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: greedy_digest.py LO HI", file=sys.stderr)
+    counts = argv[:1] == ["--counts"]
+    if len(argv) != 2 + counts:
+        print("usage: greedy_digest.py [--counts] LO HI", file=sys.stderr)
         return 1
-    lo, hi = map(int, argv)
+    lo, hi = map(int, argv[counts:])
     for seed in range(lo, hi):
-        for line in digest_lines(seed):
+        for line in digest_lines(seed, counts):
             print(line, flush=True)
     return 0
 
