@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Commands: synth, decompose, sweep, bound, apply, recover, bench. Exit codes:
-0 success (unique recovery, converged decomposition), 1 invalid input or
-usage, or a bench whose t(max m)/t(min m) leaves its linear window, 2
-factor cap reached, 3 ambiguous recovery, 4 no recovery solution. At a
-fixed BLAS thread count all output is deterministic for a fixed seed;
+Commands: synth, decompose, sweep, bound, apply, recover. Exit codes: 0
+success (unique recovery, converged decomposition), 1 invalid input or
+usage, 2 factor cap reached, 3 ambiguous recovery, 4 no recovery solution.
+At a fixed BLAS thread count all output is deterministic for a fixed seed;
 across thread counts generated matrices can differ in trailing digits.
 """
 
@@ -16,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .bench import check_m_list, run_benchmark
 from .core import apply as apply_product
 from .core import check_orthogonal
 from .decompose import _residual_bounds, greedy_decompose
@@ -82,7 +80,10 @@ def cmd_sweep(args) -> int:
     m_list = _parse_int_list(args.m_list) if args.m_list else SWEEP_M_LIST
     if not m_list:
         raise ValueError(f"--m-list {args.m_list!r} holds no m")
-    check_m_list(m_list)
+    if min(m_list) < 1:  # each m names one cell and one trace file
+        raise ValueError(f"m must be at least 1, got {min(m_list)}")
+    if len(set(m_list)) < len(m_list):
+        raise ValueError(f"m-list repeats a value: {','.join(map(str, m_list))}")
     m_list = tuple(m for m in m_list if m <= args.n)
     if not m_list:
         raise ValueError(f"no sweep m is at most n={args.n}")
@@ -144,13 +145,6 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    report = run_benchmark(n=args.n, m_list=_parse_int_list(args.m_list), repeats=args.repeats)
-    for line in report.lines():
-        print(line)
-    return EXIT_OK if report.linear_in_m else EXIT_INVALID
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhfactor",
@@ -205,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("recover", help="recover reflection and binary codes from data")
     p.add_argument("input", help="matrix file with the data columns")
     p.set_defaults(func=cmd_recover)
-
-    p = add("bench", help="factored apply vs dense multiply timings")
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--m-list", default="8,16,32")
-    p.add_argument("--repeats", type=int, default=300)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

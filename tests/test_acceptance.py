@@ -15,6 +15,7 @@ from hhfactor import (
     GeneratorSpec,
     HouseholderProduct,
     Reflector,
+    apply,
     enumerate_candidates,
     greedy_decompose,
     haar_orthogonal,
@@ -30,7 +31,6 @@ from hhfactor import (
     synthesize,
 )
 from hhfactor import cli, fileio
-from hhfactor.bench import run_benchmark
 
 U_3X3 = np.array([2 / 3, 1 / 3, 2 / 3])
 
@@ -352,16 +352,32 @@ def test_criterion_8_non_uniqueness_construction():
 # -------------------------------------------------------------- criterion 9
 
 
+def median_seconds(fn):
+    """Median wall time of 400 single calls to fn, after one warm-up call."""
+    fn()
+    samples = []
+    for _ in range(400):
+        start = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - start)
+    return float(np.median(samples))
+
+
 def test_criterion_9_factored_apply_scaling():
-    bench = run_benchmark(n=1024, m_list=(8, 16, 32, 64), seed=0, repeats=400)
-    t = dict(zip(bench.m_list, bench.apply_seconds))
+    dense, product = synthesize(GeneratorSpec("gaussian", n=1024, m=64, seed=0))
+    x = np.random.default_rng(1).standard_normal(1024)
+    t = {}
+    for m in (8, 16, 32, 64):
+        truncated = HouseholderProduct(1024, product.directions[:m])
+        t[m] = median_seconds(lambda: apply(truncated, x))
+    dense_seconds = median_seconds(lambda: dense @ x)
     ratio = t[32] / t[8]
     ratio_ok = 2.5 <= ratio <= 5.5
-    beats_dense = all(seconds < bench.dense_seconds for seconds in bench.apply_seconds)
+    beats_dense = all(seconds < dense_seconds for seconds in t.values())
     report(
         "criterion 9 (apply cost grows linearly in the factor count)",
         ratio_ok and beats_dense,
         f"t(32)/t(8)={ratio:.2f}, "
-        + ", ".join(f"t({m})={t[m] * 1e6:.0f}us" for m in bench.m_list)
-        + f", dense={bench.dense_seconds * 1e6:.0f}us",
+        + ", ".join(f"t({m})={seconds * 1e6:.0f}us" for m, seconds in t.items())
+        + f", dense={dense_seconds * 1e6:.0f}us",
     )

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -111,6 +113,8 @@ def test_recover_bound_synth_block_apply_decompose_and_sweep_leave_scipy_linalg_
     fileio.save_matrix(lowrank_path, synthesize(GeneratorSpec("gaussian", n=256, m=8, seed=3))[0])
     factors_path = tmp_path / "g.hprod"
     fileio.save_product(factors_path, synthesize(GeneratorSpec("gaussian", n=64, m=4, seed=2))[1])
+    column_path = tmp_path / "x.mat"
+    fileio.save_matrix(column_path, np.ones((64, 1)))
     commands = (
         ["recover", str(data_path)],
         ["bound", str(gaussian_path)],
@@ -119,6 +123,7 @@ def test_recover_bound_synth_block_apply_decompose_and_sweep_leave_scipy_linalg_
         ["decompose", str(lowrank_path), "--eps", "1e-6"],
         ["sweep", "gaussian", "--outdir", str(tmp_path / "sweep"), "--n", "64", "--m-list", "2,4"],
         ["apply", str(factors_path), str(gaussian_path)],  # a block of 64 columns
+        ["apply", str(factors_path), str(column_path)],  # a block of one column
         ["synth", "--n", "8", "--m", "2", "--out", str(tmp_path / "s.mat")],
     )
     assert scipy_linalg_loaded(*commands) == [False] + [[0, False]] * len(commands)
@@ -519,20 +524,6 @@ def test_apply_rejects_bad_factored_files(tmp_path, capsys, text, message):
     assert captured.out == ""
 
 
-def test_bench_rejects_zero_repeats(capsys):
-    assert main(["bench", "--n", "64", "--m-list", "4,8", "--repeats", "0"]) == 1
-    captured = capsys.readouterr()
-    assert "repeats must be at least 1" in captured.err
-    assert captured.out == ""
-
-
-def test_bench_rejects_zero_m(capsys):
-    assert main(["bench", "--n", "64", "--m-list", "0,8", "--repeats", "5"]) == 1
-    captured = capsys.readouterr()
-    assert "error: m must be at least 1, got 0" in captured.err
-    assert captured.out == ""
-
-
 def test_recover_worked_example(tmp_path, capsys):
     H = np.eye(3) - 2.0 * np.outer(U_TRUE, U_TRUE)
     Y = H @ np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -634,18 +625,25 @@ def test_recover_has_no_max_n_flag(tmp_path, capsys):
           "--sparse-fraction", "0.1"], "--sparse-fraction"),
         (["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8",
           "--m-list", "2", "--save-factors"], "--save-factors"),
-        (["bench", "--n", "64", "--m-list", "4,8", "--seed", "1"], "--seed"),
         (["decompose", "--sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8",
           "--m-list", "2"], "--sweep"),
         (["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8", "--m-list", "2",
           "--jobs", "2"], "--jobs"),
     ],
-    ids=["synth-sparse-fraction", "sweep-save-factors", "bench-seed", "decompose-sweep", "sweep-jobs"],
+    ids=["synth-sparse-fraction", "sweep-save-factors", "decompose-sweep", "sweep-jobs"],
 )
 def test_removed_flags_are_unrecognized(tmp_path, capsys, argv, flag):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # refused before anything was written
+
+
+def test_removed_bench_command_is_unknown(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--n", "64"]) == 1
+    captured = capsys.readouterr()
+    assert "invalid choice: 'bench'" in captured.err and captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -669,14 +667,12 @@ def test_removed_flags_are_unrecognized(tmp_path, capsys, argv, flag):
         # no flag is matched by a prefix
         ["decompose", "{tmp}/v.mat", "--tr", "{tmp}/t.csv", "--e", "1e-9"],
         ["bound", "{tmp}/v.mat", "--m", "0:2"],
-        ["bench", "--n", "64", "--m", "4,8", "--repeats", "5"],
         ["sweep", "gaussian", "--outdir", "{tmp}/sweep", "--n", "8", "--m", "3"],
     ],
     ids=[
         "decompose-outdir", "decompose-n", "decompose-m-list", "decompose-seed",
         "decompose-jobs", "sweep-out", "sweep-trace", "sweep-m", "sweep-input",
-        "abbrev-trace-eps", "abbrev-bound-m-range", "abbrev-bench-m-list",
-        "abbrev-sweep-m-list",
+        "abbrev-trace-eps", "abbrev-bound-m-range", "abbrev-sweep-m-list",
     ],
 )
 def test_flags_of_another_command_or_abbreviated_are_unrecognized(tmp_path, capsys, argv):
@@ -706,13 +702,6 @@ def test_help_exits_0(capsys, command):
     assert f"usage: hhfactor {command}" in capsys.readouterr().out
 
 
-def test_bench_command_runs_on_small_sizes(capsys):
-    code = main(["bench", "--n", "256", "--m-list", "4,8", "--repeats", "40"])
-    out = capsys.readouterr().out
-    assert "dense multiply" in out
-    assert code in (0, 1)  # tiny sizes may sit outside the linear window
-
-
 def test_main_builds_the_parser_once_per_process(tmp_path, capsys, monkeypatch):
     matrix_path = tmp_path / "v.mat"
     write_worked_matrix(matrix_path)
@@ -729,3 +718,23 @@ def test_main_builds_the_parser_once_per_process(tmp_path, capsys, monkeypatch):
 
 def test_build_parser_is_not_cached():
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_cli_surface_matches_readme_and_every_declared_argument_is_read():
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in cli_block.splitlines() if line.startswith("hhfactor ")]
+    assert list(subparsers.choices) == documented
+    declared = {
+        name: [action.dest for action in parser._actions if action.dest != "help"]
+        for name, parser in subparsers.choices.items()
+    }
+    assert sum(map(len, declared.values())) == 23
+    for name, dests in declared.items():
+        source = inspect.getsource(subparsers.choices[name].get_default("func"))
+        unread = [dest for dest in dests if f"args.{dest}" not in source]
+        assert not unread, f"{name} declares but never reads {unread}"
