@@ -322,6 +322,24 @@ def test_sweep_rejects_bad_m_lists(tmp_path, capsys, extra, message):
     assert not outdir.exists()  # refused before the first cell ran
 
 
+@pytest.mark.parametrize(
+    "m_list,message",
+    [("0,8", "m must be at least 1, got 0"), ("-4,8", "m must be at least 1, got -4"),
+     ("8,8", "m-list repeats a value: 8,8"), ("4,8,4", "m-list repeats a value: 4,8,4")],
+    ids=["zero", "negative", "only-a-repeat", "repeat-among-others"],
+)
+def test_sweep_checks_its_m_list_before_synthesizing(tmp_path, capsys, monkeypatch, m_list, message):
+    def refuse(spec):
+        raise AssertionError("synthesized before the m list was checked")
+
+    monkeypatch.setattr(cli, "synthesize", refuse)
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "gaussian", "--outdir", str(outdir), "--n", "16", f"--m-list={m_list}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not outdir.exists()
+
+
 def test_sweep_requires_outdir(capsys):
     assert main(["sweep", "gaussian"]) == 1
     assert "outdir" in capsys.readouterr().err
@@ -696,10 +714,20 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv):
     assert [path.name for path in tmp_path.iterdir()] == ["v.mat"]
 
 
-@pytest.mark.parametrize("command", ["decompose", "sweep"])
+@pytest.mark.parametrize("command", ["decompose", "sweep", "synth", "bound", "apply", "recover"])
 def test_help_exits_0(capsys, command):
     assert main([command, "--help"]) == 0
     assert f"usage: hhfactor {command}" in capsys.readouterr().out
+
+
+def test_top_level_help_lists_the_six_commands(capsys):
+    assert main(["--help"]) == 0
+    assert "{synth,decompose,sweep,bound,apply,recover}" in capsys.readouterr().out
+
+
+def test_bench_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        import hhfactor.bench  # noqa: F401
 
 
 def test_main_builds_the_parser_once_per_process(tmp_path, capsys, monkeypatch):
